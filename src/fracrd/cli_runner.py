@@ -25,6 +25,7 @@ from .errors import (
     ConfigInvalid,
     EmptyValues,
     FracRDError,
+    InvalidParameter,
     OutputUnwritable,
     RhoInadmissible,
     UnknownAxis,
@@ -50,93 +51,109 @@ def _as_float(x):
 
 
 def load_config(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON object in path; raises ConfigInvalid if unreadable or not an object."""
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as e:
+        raise ConfigInvalid([f"{path}: {e}"]) from None
+    if not isinstance(cfg, dict):
+        raise ConfigInvalid([f"{path}: must hold a JSON object"])
+    return cfg
+
+
+def _at(path, build, *args):
+    """build(*args), with an input error it raises turned into ConfigInvalid
+    whose message starts with the config path of the offending value."""
+    try:
+        return build(*args)
+    except ConfigInvalid:
+        raise
+    except (FracRDError, AttributeError, KeyError, TypeError, ValueError) as e:
+        msg = f"missing key {e}" if isinstance(e, KeyError) else str(e)
+        if isinstance(e, InvalidParameter) and e.name is not None:
+            path, msg = f"{path}.{e.name}", e.requirement
+        raise ConfigInvalid([f"{path}: {msg}"]) from None
 
 
 def validate_config(cfg: dict) -> dict:
     """Return a normalised copy of cfg; raise ConfigInvalid with one
-    message per offending field."""
+    message per offending field, each starting with the field's config path.
+
+    The grid, model and solver settings are built by the calls run_scenario
+    makes, and the initial data and each enabled report go through the
+    checks their own code applies; only rules no other code holds (schema
+    version, seed, section shapes, profile count, norm exponents) are here.
+    Nothing grid-sized is allocated, so every config error is reported
+    before any compute.
+    """
     msgs = []
-    out = copy.deepcopy(cfg)
+
+    def check(path, build, *args):
+        try:
+            return _at(path, build, *args)
+        except ConfigInvalid as e:
+            msgs.extend(e.messages)
 
     if cfg.get("schema_version") != SCHEMA_VERSION:
         msgs.append(f"schema_version: expected {SCHEMA_VERSION}")
+    if not (isinstance(cfg.get("seed", 0), int) and cfg.get("seed", 0) >= 0):
+        msgs.append(f"seed: must be a nonnegative integer, got {cfg.get('seed')!r}")
 
-    grid = cfg.get("grid", {})
-    dims = grid.get("dims")
-    if dims not in (1, 2, 3):
-        msgs.append(f"grid.dims: must be 1, 2, or 3, got {dims!r}")
-    pts = grid.get("points", 0)
-    if not (isinstance(pts, int) and pts >= 8 and pts & (pts - 1) == 0):
-        msgs.append(f"grid.points: must be a power of two >= 8, got {pts!r}")
-    if not (isinstance(grid.get("extent"), (int, float)) and grid["extent"] > 0):
-        msgs.append("grid.extent: must be a positive real")
-
-    model_spec = cfg.get("model")
-    species = None
-    if isinstance(model_spec, str):
-        try:
-            species = get_model(model_spec).m
-        except FracRDError as e:
-            msgs.append(f"model: {e}")
-    elif isinstance(model_spec, dict):
-        try:
-            species = _inline_model(model_spec).m
-        except (FracRDError, KeyError, TypeError, ValueError) as e:
-            msgs.append(f"model: invalid inline definition ({e})")
-    else:
-        msgs.append("model: must be a registry name or inline definition")
-
-    dvals = cfg.get("diffusivities")
-    if dvals is not None:
-        if species is not None and len(dvals) != species:
-            msgs.append(f"diffusivities: expected {species} values")
-        elif any(d <= 0 for d in dvals):
-            msgs.append("diffusivities: must all be positive")
+    grid = check("grid", _grid, cfg)
+    model = check("model", build_model, cfg)
+    scfg = check("solver", _solver_config, cfg)
 
     init = cfg.get("initial_data", [])
-    if species is not None and len(init) != species:
-        msgs.append(f"initial_data: expected {species} profiles, got {len(init)}")
-    for k, spec in enumerate(init):
-        prof = spec.get("profile")
-        if prof not in PROFILES:
-            msgs.append(f"initial_data[{k}].profile: unknown {prof!r}")
-
-    sol = cfg.get("solver", {})
-    if not (isinstance(sol.get("dt"), (int, float)) and sol["dt"] > 0):
-        msgs.append("solver.dt: must be a positive real")
-    if not (isinstance(sol.get("horizon"), (int, float)) and sol["horizon"] > 0):
-        msgs.append("solver.horizon: must be a positive real")
-    alpha = sol.get("alpha", 0.5)
-    if not (0.0 < alpha <= 1.0):
-        msgs.append(f"solver.alpha: must lie in (0, 1], got {alpha!r}")
+    if not isinstance(init, list):
+        msgs.append("initial_data: must be a list of profiles")
+    elif model is not None and len(init) != model.m:
+        msgs.append(f"initial_data: expected {model.m} profiles, got {len(init)}")
+    else:
+        for k, spec in enumerate(init):
+            check(f"initial_data[{k}]", _check_profile, spec)
 
     rep = cfg.get("reports", {})
-    for p in rep.get("norm_p", []):
+    if not isinstance(rep, dict):
+        msgs.append("reports: must be an object")
+        rep = {}
+    for p in check("reports.norm_p", list, rep.get("norm_p", [])) or []:
         try:
-            if _as_float(p) < 1:
+            if not _as_float(p) >= 1:
                 msgs.append(f"reports.norm_p: exponent {p!r} below 1")
         except (TypeError, ValueError):
             msgs.append(f"reports.norm_p: bad exponent {p!r}")
-    lad = rep.get("ladder")
-    if lad is not None and dims in (1, 2, 3) and 0.0 < alpha < 1.0:
-        try:
-            el.duality_ladder(
-                dims, alpha, lad.get("rho", 1.0), lad.get("p0", 2.0),
-                lad.get("eps_star", 0.0),
-            )
-        except RhoInadmissible as e:
-            msgs.append(f"reports.ladder.rho: {e}")
-        except FracRDError as e:
-            msgs.append(f"reports.ladder: {e}")
-
-    if not isinstance(cfg.get("seed", 0), int):
-        msgs.append("seed: must be an integer")
+    weak_p = rep.get("weak_p")
+    if weak_p is not None and not (isinstance(weak_p, (int, float)) and weak_p >= 1):
+        msgs.append(f"reports.weak_p: must be a real >= 1, got {weak_p!r}")
+    for gamma in check("reports.holder_gamma", list, rep.get("holder_gamma", [])) or []:
+        check("reports.holder_gamma", el.check_holder_gamma, gamma)
+    if rep.get("sv"):
+        check("reports.sv", _sv_spec, rep["sv"])
+    if rep.get("gn") and grid is not None:
+        check("reports.gn", _gn_spec, rep["gn"], grid.dims)
+    if rep.get("ladder") and grid is not None and scfg is not None:
+        check("reports.ladder", _ladder, rep["ladder"], grid.dims, scfg.alpha)
 
     if msgs:
         raise ConfigInvalid(msgs)
-    return out
+    return copy.deepcopy(cfg)
+
+
+def _grid(cfg: dict):
+    g = cfg["grid"]
+    return make_grid(g["dims"], float(g["extent"]), g["points"])
+
+
+def _solver_config(cfg: dict) -> SolverConfig:
+    sol = cfg["solver"]
+    return SolverConfig(
+        dt=float(sol["dt"]),
+        horizon=float(sol["horizon"]),
+        alpha=float(sol.get("alpha", 0.5)),
+        dealias=bool(sol.get("dealias", True)),
+        store_every=int(sol.get("store_every", 1)),
+    )
 
 
 def _inline_model(spec: dict):
@@ -151,10 +168,16 @@ def _inline_model(spec: dict):
 
 
 def build_model(cfg: dict):
-    spec = cfg["model"]
-    model = get_model(spec) if isinstance(spec, str) else _inline_model(spec)
+    """The model cfg names, with its diffusivities; raises ConfigInvalid."""
+    spec = cfg.get("model")
+    if isinstance(spec, str):
+        model = _at("model", get_model, spec)
+    elif isinstance(spec, dict):
+        model = _at("model", _inline_model, spec)
+    else:
+        raise ConfigInvalid(["model: must be a registry name or inline definition"])
     if cfg.get("diffusivities"):
-        model = model.with_diffusivities(cfg["diffusivities"])
+        model = _at("diffusivities", model.with_diffusivities, cfg["diffusivities"])
     return model
 
 
@@ -162,7 +185,8 @@ def build_model(cfg: dict):
 # Initial data profiles
 # ----------------------------------------------------------------------
 
-def _wrapped_r2(grid, center):
+def _bump(grid, center, width):
+    """exp(-|x - center|^2 / (2 width^2)), |x - center| the periodic distance."""
     coords = grid.coord_arrays()
     L = grid.extent
     r2 = np.zeros(grid.shape)
@@ -170,10 +194,26 @@ def _wrapped_r2(grid, center):
         d = np.abs(coords[ax] - center[ax])
         d = np.minimum(d, L - d)
         r2 += d * d
-    return r2
+    return np.exp(-r2 / (2.0 * width**2))
+
+
+def _check_profile(spec):
+    """Raise unless spec is an initial-data entry naming a known profile,
+    with amplitude, width and floor (where given) nonnegative finite reals."""
+    if not isinstance(spec, dict) or spec.get("profile") not in PROFILES:
+        raise InvalidParameter(f"must be an object with a profile in {PROFILES}, got {spec!r}")
+    for key in ("amplitude", "width", "floor"):
+        x = spec.get(key, 0.0)
+        if isinstance(x, bool) or not isinstance(x, (int, float)) or not 0 <= x < math.inf:
+            raise InvalidParameter(f"must be a nonnegative finite real, got {x!r}", key)
+    if spec.get("width") == 0:
+        raise InvalidParameter("must be positive, got 0", "width")
 
 
 def make_profile(grid, spec: dict, rng: np.random.Generator) -> Field:
+    """The initial-data field spec describes; rng is drawn from only by the
+    random-band-limited profile."""
+    _check_profile(spec)
     prof = spec["profile"]
     amp = spec.get("amplitude", 1.0)
     width = spec.get("width", grid.extent / 16.0)
@@ -182,30 +222,16 @@ def make_profile(grid, spec: dict, rng: np.random.Generator) -> Field:
         vals = np.full(grid.shape, amp)
     elif prof == "gaussian-bump":
         c = spec.get("center", [0.0] * grid.dims)
-        vals = amp * np.exp(-_wrapped_r2(grid, c) / (2.0 * width**2)) + floor
+        vals = amp * _bump(grid, c, width) + floor
     elif prof == "two-bumps":
         sep = spec.get("separation", grid.extent / 4.0)
         c1 = [-sep / 2.0] + [0.0] * (grid.dims - 1)
         c2 = [sep / 2.0] + [0.0] * (grid.dims - 1)
-        vals = amp * (
-            np.exp(-_wrapped_r2(grid, c1) / (2.0 * width**2))
-            + np.exp(-_wrapped_r2(grid, c2) / (2.0 * width**2))
-        ) + floor
-    elif prof == "random-band-limited":
-        modes = spec.get("modes", 8)
-        coords = grid.coord_arrays()
-        vals = np.zeros(grid.shape)
-        base = 2.0 * np.pi / grid.extent
-        for _ in range(modes):
-            k = rng.integers(1, modes + 1, size=grid.dims)
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            coef = rng.standard_normal()
-            arg = sum(base * k[ax] * coords[ax] for ax in range(grid.dims))
-            vals += coef * np.cos(arg + phase)
+        vals = amp * (_bump(grid, c1, width) + _bump(grid, c2, width)) + floor
+    else:  # random-band-limited
+        vals = random_band_limited(grid, rng, spec.get("modes", 8)).values
         span = max(float(vals.max() - vals.min()), 1e-300)
         vals = amp * (vals - vals.min()) / span + floor  # nonnegative by shift
-    else:
-        raise ConfigInvalid([f"initial_data.profile: unknown {prof!r}"])
     return Field(grid, vals)
 
 
@@ -264,6 +290,60 @@ def _resolve_outdir(explicit, default_name):
 
 
 # ----------------------------------------------------------------------
+# Inequality checks on random fields, shared by run and verify
+# ----------------------------------------------------------------------
+
+def _sv_spec(sv: dict):
+    """(fields, ells, alphas) of reports.sv; raises unless every gap is defined."""
+    fields = int(sv.get("fields", 20))
+    ells, alphas = sv.get("ell", [2.0, 3.0, 4.0]), sv.get("alpha", [0.3, 0.5, 0.9])
+    for ell in ells:
+        for al in alphas:
+            el.check_sv(float(al), float(ell))
+    return fields, ells, alphas
+
+
+def _gn_spec(gn: dict, dims: int):
+    """(fields, alpha, q) of reports.gn; raises unless the ratio is defined, fields >= 1."""
+    fields = int(gn.get("fields", 20))
+    if fields < 1:
+        raise InvalidParameter(f"must be >= 1, got {fields}", "fields")
+    el.check_gn(dims, float(gn["alpha"]), float(gn["q"]))
+    return fields, gn["alpha"], gn["q"]
+
+
+def _sv_rows(grid, rng, fields, ells, alphas, bad) -> list:
+    """Stroock-Varopoulos gaps on fresh random fields: one row
+    [field, ell, alpha, gap] per gap, and a violation in bad per negative gap."""
+    rows = []
+    for k in range(fields):
+        fld = random_band_limited(grid, rng)
+        for ell in ells:
+            for al in alphas:
+                gap = el.stroock_varopoulos_gap(fld, float(al), float(ell))
+                rows.append([k, ell, al, gap])
+                if gap < -1e-8 * max(abs(gap), 1.0):
+                    bad.append(f"SV gap {gap} at field {k}, ell={ell}, alpha={al}")
+    return rows
+
+
+def _gn_rows(grid, rng, fields, alpha, q) -> list:
+    """Gagliardo-Nirenberg ratios on fresh random fields, rows [field, q, alpha, ratio]."""
+    rows = []
+    for k in range(fields):
+        fld = random_band_limited(grid, rng)
+        rows.append([k, q, alpha, el.gn_ratio(fld, float(alpha), float(q))])
+    return rows
+
+
+def _ladder(lad: dict, dims: int, alpha: float):
+    return el.duality_ladder(
+        dims, alpha, float(lad.get("rho", 1.0)),
+        float(lad.get("p0", 2.0)), float(lad.get("eps_star", 0.0)),
+    )
+
+
+# ----------------------------------------------------------------------
 # run
 # ----------------------------------------------------------------------
 
@@ -273,19 +353,10 @@ def run_scenario(cfg: dict, outdir=None) -> dict:
     seed = cfg.get("seed", 0)
     rng = np.random.default_rng(seed)
 
-    grid = make_grid(cfg["grid"]["dims"], float(cfg["grid"]["extent"]),
-                     cfg["grid"]["points"])
+    grid = _grid(cfg)
     model = build_model(cfg)
     u0 = [make_profile(grid, spec, rng) for spec in cfg["initial_data"]]
-
-    sol = cfg["solver"]
-    scfg = SolverConfig(
-        dt=float(sol["dt"]),
-        horizon=float(sol["horizon"]),
-        alpha=float(sol.get("alpha", 0.5)),
-        dealias=bool(sol.get("dealias", True)),
-        store_every=int(sol.get("store_every", 1)),
-    )
+    scfg = _solver_config(cfg)
     traj = solve_mild(model, u0, scfg)
 
     files = []
@@ -298,9 +369,7 @@ def run_scenario(cfg: dict, outdir=None) -> dict:
     rep = cfg.get("reports", {})
     norm_p = [_as_float(p) for p in rep.get("norm_p", [2.0])]
     weak_p = rep.get("weak_p")
-    report = el.norm_report(
-        traj, norm_p, weak_p=weak_p, alpha=scfg.alpha, d=model.d
-    )
+    report = el.norm_report(traj, norm_p, weak_p=weak_p)
     rows = []
     for (i, p), val in sorted(report.spacetime.items()):
         rows.append([i, "inf" if math.isinf(p) else p, val])
@@ -308,7 +377,7 @@ def run_scenario(cfg: dict, outdir=None) -> dict:
               ["species", "p", "spacetime_norm"], rows)
     files.append(os.path.join(outdir, "norms.csv"))
     if weak_p is not None:
-        for i, (wn, p) in enumerate(zip(report.weak_norms, norm_p)):
+        for i, wn in enumerate(report.weak_norms):
             strong = report.spacetime.get((i, _as_float(weak_p)))
             if strong is not None and wn > strong * (1.0 + 1e-12):
                 violations.append(f"weak-L{weak_p} above strong for species {i}")
@@ -338,59 +407,24 @@ def run_scenario(cfg: dict, outdir=None) -> dict:
                   ["gamma", "space", "parabolic"], rows)
         files.append(os.path.join(outdir, "holder.csv"))
 
-    sv = rep.get("sv")
-    if sv:
-        rows = []
-        for k in range(int(sv.get("fields", 20))):
-            fld = random_band_limited(grid, rng)
-            for ell in sv.get("ell", [2.0, 3.0, 4.0]):
-                for al in sv.get("alpha", [0.3, 0.5, 0.9]):
-                    gap = el.stroock_varopoulos_gap(fld, float(al), float(ell))
-                    rows.append([k, ell, al, gap])
-                    if gap < -1e-8 * max(abs(gap), 1.0):
-                        violations.append(
-                            f"SV gap {gap} at field {k}, ell={ell}, alpha={al}"
-                        )
+    if rep.get("sv"):
+        rows = _sv_rows(grid, rng, *_sv_spec(rep["sv"]), violations)
         write_csv(os.path.join(outdir, "sv.csv"),
                   ["field", "ell", "alpha", "gap"], rows)
         files.append(os.path.join(outdir, "sv.csv"))
 
     gn = rep.get("gn")
     if gn:
-        rows = []
-        ratios = []
-        for k in range(int(gn.get("fields", 20))):
-            fld = random_band_limited(grid, rng)
-            ratio = el.gn_ratio(fld, float(gn["alpha"]), float(gn["q"]))
-            ratios.append(ratio)
-            rows.append([k, gn["q"], gn["alpha"], ratio])
-        rows.append(["max", gn["q"], gn["alpha"], max(ratios)])
+        rows = _gn_rows(grid, rng, *_gn_spec(gn, grid.dims))
+        rows.append(["max", gn["q"], gn["alpha"], max(r[-1] for r in rows)])
         write_csv(os.path.join(outdir, "gn.csv"),
                   ["field", "q", "alpha", "ratio"], rows)
         files.append(os.path.join(outdir, "gn.csv"))
 
-    lad = rep.get("ladder")
-    if lad:
-        ladder = el.duality_ladder(
-            grid.dims, scfg.alpha, float(lad.get("rho", 1.0)),
-            float(lad.get("p0", 2.0)), float(lad.get("eps_star", 0.0)),
-        )
+    if rep.get("ladder"):
+        ladder = _ladder(rep["ladder"], grid.dims, scfg.alpha)
         with open(os.path.join(outdir, "ladder.json"), "w") as fh:
-            json.dump(
-                {
-                    "dims": ladder.dims,
-                    "alpha": ladder.alpha,
-                    "rho": ladder.rho,
-                    "p0": ladder.p0,
-                    "eps_star": ladder.eps_star,
-                    "rho_max": ladder.rho_max,
-                    "threshold": ladder.threshold,
-                    "sequence": ladder.sequence,
-                    "termination_index": ladder.termination_index,
-                    "diverged": ladder.diverged,
-                },
-                fh, indent=2, sort_keys=True,
-            )
+            json.dump(vars(ladder), fh, indent=2, sort_keys=True)
         files.append(os.path.join(outdir, "ladder.json"))
         if ladder.diverged:
             violations.append("exponent ladder failed to terminate")
@@ -474,12 +508,12 @@ def _suite_kernel(outdir, seed):
     if diag["self_similarity_residual"] > 1e-10:
         bad.append("self-similarity residual above 1e-10")
     fits = [
-        (1, 0.5, 1.0, math.inf, 0.0, make_grid(1, 200.0, 1024)),
-        (1, 0.75, 1.0, 2.0, 0.0, make_grid(1, 200.0, 1024)),
-        (1, 0.5, 1.0, math.inf, 0.25, make_grid(1, 200.0, 1024)),
+        (0.5, 1.0, math.inf, 0.0),
+        (0.75, 1.0, 2.0, 0.0),
+        (0.5, 1.0, math.inf, 0.25),
     ]
-    for dims, alpha, r, p, beta, gg in fits:
-        spec = hk.KernelSpec(alpha, 1.0, gg)
+    for alpha, r, p, beta in fits:
+        spec = hk.KernelSpec(alpha, 1.0, g)
         times = np.geomspace(0.05, 20.0, 24)
         repf = hk.smoothing_rate_fit(spec, r, p, times, beta=beta)
         rows.append([f"slope b={beta}", alpha, repf.fitted_slope,
@@ -495,20 +529,10 @@ def _suite_inequalities(outdir, seed):
     rows, bad = [], []
     rng = np.random.default_rng(seed)
     g = make_grid(1, 2.0 * np.pi, 128)
-    for k in range(100):
-        fld = random_band_limited(g, rng)
-        for ell in (2.0, 3.0, 4.0):
-            for al in (0.3, 0.5, 0.9):
-                gap = el.stroock_varopoulos_gap(fld, al, ell)
-                rows.append(["sv", k, ell, al, gap])
-                if gap < -1e-8 * max(abs(gap), 1.0):
-                    bad.append(f"SV gap {gap} (field {k}, ell={ell}, a={al})")
-    ratios = []
-    for k in range(100):
-        fld = random_band_limited(g, rng)
-        ratios.append(el.gn_ratio(fld, 0.5, 4.0))
-        rows.append(["gn", k, 4.0, 0.5, ratios[-1]])
-    rows.append(["gn-max", "", 4.0, 0.5, max(ratios)])
+    sv = _sv_rows(g, rng, 100, (2.0, 3.0, 4.0), (0.3, 0.5, 0.9), bad)
+    gn = _gn_rows(g, rng, 100, 0.5, 4.0)
+    rows += [["sv"] + r for r in sv] + [["gn"] + r for r in gn]
+    rows.append(["gn-max", "", 4.0, 0.5, max(r[-1] for r in gn)])
     times = np.linspace(0.0, 4.0, 801)
     for mu in (0.5, 1.0, 2.0):
         for k in range(50):
@@ -593,11 +617,12 @@ SUITES = {
 
 
 def run_verify(names, outdir=None, seed: int = 0) -> dict:
+    unknown = [name for name in names if name not in SUITES]
+    if unknown:
+        raise ConfigInvalid([f"unknown suites {unknown}; known: {sorted(SUITES)}"])
     outdir = _resolve_outdir(outdir, "fracrd-verify")
     files, violations = [], []
     for name in names:
-        if name not in SUITES:
-            raise ConfigInvalid([f"unknown suite {name!r}; known: {sorted(SUITES)}"])
         written, bad = SUITES[name](outdir, seed)
         files.extend(os.path.join(outdir, w) for w in written)
         violations.extend(f"{name}: {b}" for b in bad)
@@ -621,7 +646,6 @@ def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--out", default=None)
-    common.add_argument("--threads", type=int, default=None, help="reserved")
 
     ap = argparse.ArgumentParser(prog="fracrd")
     sub = ap.add_subparsers(dest="verb", required=True)
@@ -636,20 +660,26 @@ def main(argv=None) -> int:
                          help="comma-separated numeric list")
 
     p_ver = sub.add_parser("verify", parents=[common])
-    p_ver.add_argument("suite", nargs="+", choices=sorted(SUITES))
+    p_ver.add_argument("suite", nargs="+", help=f"any of {', '.join(sorted(SUITES))}")
 
-    args = ap.parse_args(argv)
     try:
-        if args.verb == "run":
+        args = ap.parse_args(argv)
+    except SystemExit as e:  # argparse exits 2 on a usage error; 2 means violations here
+        return 1 if e.code else 0
+    try:
+        if args.verb != "verify":
             cfg = load_config(args.config)
             if args.seed is not None:
                 cfg["seed"] = args.seed
+        if args.verb == "run":
             man = run_scenario(cfg, outdir=args.out)
         elif args.verb == "sweep":
-            cfg = load_config(args.config)
-            if args.seed is not None:
-                cfg["seed"] = args.seed
-            values = [float(v) for v in args.values.split(",") if v]
+            try:
+                values = [float(v) for v in args.values.split(",") if v]
+            except ValueError:
+                raise ConfigInvalid(
+                    [f"--values: expected comma-separated numbers, got {args.values!r}"]
+                ) from None
             rows = sweep(cfg, args.axis, values, outdir=args.out)
             man = {"passed": all(r[1] for r in rows)}
         else:

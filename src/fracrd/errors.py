@@ -5,16 +5,27 @@ class FracRDError(Exception):
     """Base class for all fracrd errors."""
 
 
+class InvalidParameter(FracRDError, ValueError):
+    """An argument outside its domain.  ``name`` names the argument when it
+    is also a config key, so a config reader can point at the key; the
+    message then reads "<name> <requirement>"."""
+
+    def __init__(self, requirement, name=None):
+        self.name = name
+        self.requirement = requirement
+        super().__init__(requirement if name is None else f"{name} {requirement}")
+
+
 # --- grid / spectral ---------------------------------------------------
-class InvalidDims(FracRDError):
+class InvalidDims(InvalidParameter):
     pass
 
 
-class NotPowerOfTwo(FracRDError):
+class NotPowerOfTwo(InvalidParameter):
     pass
 
 
-class MemoryBudgetExceeded(FracRDError):
+class MemoryBudgetExceeded(InvalidParameter):
     pass
 
 
@@ -26,7 +37,7 @@ class GridTooLarge(FracRDError):
     pass
 
 
-class BetaOutOfRange(FracRDError):
+class BetaOutOfRange(InvalidParameter):
     pass
 
 
@@ -82,7 +93,7 @@ class EmptyTrajectory(FracRDError):
     pass
 
 
-class GammaOutOfRange(FracRDError):
+class GammaOutOfRange(InvalidParameter):
     pass
 
 
@@ -90,11 +101,11 @@ class TooFewSlices(FracRDError):
     pass
 
 
-class EllOutOfRange(FracRDError):
+class EllOutOfRange(InvalidParameter):
     pass
 
 
-class QOutOfRange(FracRDError):
+class QOutOfRange(InvalidParameter):
     pass
 
 
@@ -106,11 +117,11 @@ class NonUniformTimeGrid(FracRDError):
     pass
 
 
-class RhoInadmissible(FracRDError):
+class RhoInadmissible(InvalidParameter):
     pass
 
 
-class P0TooSmall(FracRDError):
+class P0TooSmall(InvalidParameter):
     pass
 
 

@@ -10,7 +10,7 @@ exponent recursion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .errors import (
     EllOutOfRange,
     EmptyTrajectory,
     GammaOutOfRange,
+    InvalidParameter,
     NonUniformTimeGrid,
     P0TooSmall,
     QOutOfRange,
@@ -25,7 +26,7 @@ from .errors import (
     TooFewSlices,
     ZeroField,
 )
-from .mild_solver import Trajectory
+from .mild_solver import Trajectory, phi_weights
 from .spectral_core import Field, FracPower, frac_power, integral, lp_norm
 
 
@@ -46,7 +47,6 @@ class VDiagnostics:
     b_bounds_ok: bool
     b_min: float
     b_max: float
-    holder: dict = field(default_factory=dict)
 
 
 def accumulate_v(traj: Trajectory, d) -> VDiagnostics:
@@ -114,6 +114,12 @@ def _wrapped_distance(grid, idx_a, idx_b):
     return np.sqrt(d2)
 
 
+def check_holder_gamma(gamma: float):
+    """Raise GammaOutOfRange unless 0 < gamma < 1."""
+    if not (0.0 < gamma < 1.0):
+        raise GammaOutOfRange(f"gamma must lie in (0,1), got {gamma}")
+
+
 def holder_seminorm(vtraj: VDiagnostics, gamma: float, seed: int = 0):
     """Empirical parabolic Holder seminorms of v at exponent gamma.
 
@@ -121,8 +127,7 @@ def holder_seminorm(vtraj: VDiagnostics, gamma: float, seed: int = 0):
     |v(x,t)-v(y,t)| / dist(x,y)^gamma over node pairs, the parabolic part
     |v(x,t)-v(x,s)| / |t-s|^(gamma/2) over time pairs at fixed nodes.
     """
-    if not (0.0 < gamma < 1.0):
-        raise GammaOutOfRange(f"gamma must lie in (0,1), got {gamma}")
+    check_holder_gamma(gamma)
     if len(vtraj.times) < 2:
         raise TooFewSlices("need at least 2 time slices")
     grid = vtraj.grid
@@ -157,7 +162,6 @@ def holder_seminorm(vtraj: VDiagnostics, gamma: float, seed: int = 0):
             diff = float(np.max(np.abs(vtraj.v[kj] - vtraj.v[ki])))
             parabolic = max(parabolic, diff / dtpow)
 
-    vtraj.holder[gamma] = (space, parabolic)
     return space, parabolic
 
 
@@ -165,10 +169,16 @@ def holder_seminorm(vtraj: VDiagnostics, gamma: float, seed: int = 0):
 # Functional inequalities
 # ----------------------------------------------------------------------
 
+def check_sv(alpha: float, ell: float):
+    """Raise unless the SV gap is defined: ell > 1 and (-Dl)^alpha valid."""
+    if not ell > 1:
+        raise EllOutOfRange(f"must exceed 1, got {ell}", "ell")
+    FracPower(alpha)
+
+
 def stroock_varopoulos_gap(v: Field, alpha: float, ell: float) -> float:
     """int |v|^(l-2) v (-Dl)^a v dx - 4(l-1)/l^2 * int |(-Dl)^(a/2) |v|^(l/2)|^2 dx."""
-    if ell <= 1:
-        raise EllOutOfRange(f"ell must exceed 1, got {ell}")
+    check_sv(alpha, ell)
     lhs_integrand = np.abs(v.values) ** (ell - 2.0) * v.values
     lhs = integral(Field(v.grid, lhs_integrand * frac_power(v, FracPower(alpha)).values))
     # signed power |v|^(l/2 - 1) v: equals |v|^(l/2) on the nonnegative cone
@@ -193,11 +203,17 @@ def critical_exponent(dims: int, alpha: float) -> float:
     return 2.0 * dims / (dims - 2.0 * alpha)
 
 
+def check_gn(dims: int, alpha: float, q: float):
+    """Raise unless the GN ratio is defined: 2 < q < critical, (-Dl)^(alpha/2) valid."""
+    crit = critical_exponent(dims, alpha)
+    if not (2.0 < q < crit):
+        raise QOutOfRange(f"must lie in (2, {crit}), got {q}", "q")
+    FracPower(alpha / 2.0)
+
+
 def gn_ratio(v: Field, alpha: float, q: float) -> float:
     """||v||_q / (||v||_2^theta ||(-Dl)^(a/2) v||_2^(1-theta))."""
-    crit = critical_exponent(v.grid.dims, alpha)
-    if not (2.0 < q < crit):
-        raise QOutOfRange(f"need 2 < q < {crit}, got {q}")
+    check_gn(v.grid.dims, alpha, q)
     if not np.any(v.values):
         raise ZeroField("Gagliardo-Nirenberg ratio undefined for v == 0")
     theta = gn_theta(v.grid.dims, alpha, q)
@@ -229,19 +245,12 @@ def maximal_reg_ratio(f_traj, times, alpha: float, mu: float, grid) -> float:
 
     f = np.asarray(f_traj, dtype=float)
     if f.shape != (len(times),) + grid.shape:
-        raise ValueError("f_traj must have shape (nt, *grid.shape)")
+        raise InvalidParameter("f_traj must have shape (nt, *grid.shape)")
     if not np.any(f):
         return 0.0
 
     lam = grid.wavenumbers_squared() ** alpha
-    z = mu * dt * lam
-    E = np.exp(-z)
-    small = z < 1e-5
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi1 = -np.expm1(-z) / z
-        phi2 = (z + np.expm1(-z)) / z**2
-    phi1[small] = 1.0 - z[small] / 2.0 + z[small] ** 2 / 6.0
-    phi2[small] = 0.5 - z[small] / 6.0 + z[small] ** 2 / 24.0
+    E, phi1, phi2 = phi_weights(mu * dt * lam)
 
     fhat = np.stack([np.fft.rfftn(fk) for fk in f])
     uhat = np.zeros_like(fhat[0])
@@ -269,15 +278,7 @@ def solve_forced_mode(times, lam: float, mu: float, fhat) -> np.ndarray:
     closed-form oracle comparison."""
     times = np.asarray(times, dtype=float)
     dt = float(times[1] - times[0])
-    z = mu * dt * lam
-    if z < 1e-5:
-        E = math.exp(-z)
-        phi1 = 1.0 - z / 2.0 + z**2 / 6.0
-        phi2 = 0.5 - z / 6.0 + z**2 / 24.0
-    else:
-        E = math.exp(-z)
-        phi1 = -math.expm1(-z) / z
-        phi2 = (z + math.expm1(-z)) / z**2
+    E, phi1, phi2 = (float(w[0]) for w in phi_weights(np.array([mu * dt * lam])))
     u = np.zeros(len(times))
     for k in range(len(times) - 1):
         u[k + 1] = E * u[k] + dt * ((phi1 - phi2) * fhat[k] + phi2 * fhat[k + 1])
@@ -293,13 +294,9 @@ WEAK_NORM_LEVELS = 64
 
 @dataclass
 class NormReport:
-    p_list: list
     spacetime: dict  # (species, p) -> L^p(Q) norm
     windowed_sup: list  # per unit window: max_i sup_x u_i
-    weak_p: float | None
     weak_norms: list | None  # per species
-    frac_half_sup: list | None  # sup_t ||(-Dl)^(a/2) u_i||_inf per species
-    frac_v_sup: float | None  # sup_t ||(-Dl)^a v||_inf
 
 
 def _time_weights(times) -> np.ndarray:
@@ -312,8 +309,8 @@ def _time_weights(times) -> np.ndarray:
     return w
 
 
-def norm_report(traj: Trajectory, p_list, weak_p=None, alpha=None, d=None) -> NormReport:
-    """Space-time norms, windowed sup-norms, weak norm, fractional sups."""
+def norm_report(traj: Trajectory, p_list, weak_p=None) -> NormReport:
+    """Space-time norms, windowed sup-norms and weak norms."""
     if not traj.states:
         raise EmptyTrajectory("trajectory has no states")
     grid = traj.grid
@@ -360,33 +357,10 @@ def norm_report(traj: Trajectory, p_list, weak_p=None, alpha=None, d=None) -> No
                 best = max(best, lam * meas ** (1.0 / weak_p))
             weak_norms.append(best)
 
-    frac_half_sup = None
-    frac_v_sup = None
-    if alpha is not None:
-        half = FracPower(alpha / 2.0)
-        frac_half_sup = [
-            max(
-                float(np.max(np.abs(frac_power(Field(grid, s[i]), half).values)))
-                for s in traj.states
-            )
-            for i in range(m)
-        ]
-        if d is not None:
-            vd = accumulate_v(traj, d)
-            full = FracPower(alpha)
-            frac_v_sup = max(
-                float(np.max(np.abs(frac_power(Field(grid, vk), full).values)))
-                for vk in vd.v
-            )
-
     return NormReport(
-        p_list=list(p_list),
         spacetime=spacetime,
         windowed_sup=wins,
-        weak_p=weak_p,
         weak_norms=weak_norms,
-        frac_half_sup=frac_half_sup,
-        frac_v_sup=frac_v_sup,
     )
 
 
@@ -424,7 +398,7 @@ def q_hat(dims: int, alpha: float, p: float) -> float:
     """
     crit = (dims + 2.0 * alpha) / (2.0 * alpha)
     if p < 1:
-        raise ValueError("p must be >= 1")
+        raise InvalidParameter(f"must be >= 1, got {p}", "p")
     if p == 1:
         return (dims + 2.0 * alpha) / dims
     if p < crit:
@@ -436,16 +410,16 @@ def duality_ladder(dims: int, alpha: float, rho: float, p0: float, eps_star: flo
     """Iterate p_{n+1} = (N+2a) p_n / (rho (N+2a) - 2a p_n) until the
     sequence clears the threshold (N+2a)/(2a rho)."""
     if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-    if rho < 1.0:
-        raise RhoInadmissible(f"rho must be >= 1, got {rho}")
-    if eps_star < 0.0:
-        raise ValueError("eps_star must be >= 0")
+        raise InvalidParameter(f"alpha must lie in (0,1), got {alpha}")
+    if not rho >= 1.0:
+        raise RhoInadmissible(f"must be >= 1, got {rho}", "rho")
+    if not eps_star >= 0.0:
+        raise InvalidParameter(f"must be >= 0, got {eps_star}", "eps_star")
     rmax = rho_admissible_max(dims, alpha, eps_star)
     if rho > rmax + 1e-12:
-        raise RhoInadmissible(f"rho = {rho} exceeds the admissible cap {rmax:.6g}")
-    if p0 < 2.0:
-        raise P0TooSmall(f"improved duality requires p0 >= 2, got {p0}")
+        raise RhoInadmissible(f"= {rho} exceeds the admissible cap {rmax:.6g}", "rho")
+    if not p0 >= 2.0:
+        raise P0TooSmall(f"must be >= 2 for improved duality, got {p0}", "p0")
 
     total = dims + 2.0 * alpha
     threshold = total / (2.0 * alpha * rho)

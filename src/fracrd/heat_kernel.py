@@ -15,11 +15,12 @@ import numpy as np
 from .errors import (
     DegenerateFit,
     ExponentOrder,
+    InvalidParameter,
     NegativeTime,
     NonPositiveTime,
     TailMassTooLarge,
 )
-from .spectral_core import Field, Grid, apply_multiplier, lp_norm, make_grid
+from .spectral_core import Field, Grid, apply_multiplier, image_r2, lp_norm, make_grid
 
 
 @dataclass(frozen=True)
@@ -30,9 +31,9 @@ class KernelSpec:
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+            raise InvalidParameter(f"must lie in (0, 1], got {self.alpha}", "alpha")
         if self.mu <= 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+            raise InvalidParameter(f"must be positive, got {self.mu}", "mu")
 
 
 @dataclass
@@ -79,17 +80,8 @@ def _envelope(grid: Grid, alpha: float, s: float, images: int) -> np.ndarray:
     """Periodised envelope s * (s^(1/alpha) + |x|^2)^(-(N+2a)/2), summed over
     image boxes so the comparison matches the wrapped kernel."""
     expo = -(grid.dims + 2.0 * alpha) / 2.0
-    L = grid.extent
-    img_axis = L * np.arange(-images, images + 1)
-    mesh_img = np.meshgrid(*([img_axis] * grid.dims), indexing="ij")
-    img_flat = [m.ravel() for m in mesh_img]
-    coords = grid.coord_arrays()
     env = np.zeros(grid.shape)
-    for k in range(img_flat[0].size):
-        r2 = np.zeros(grid.shape)
-        for ax in range(grid.dims):
-            d = coords[ax] + img_flat[ax][k]
-            r2 += d * d
+    for r2 in image_r2(grid, images):
         env += s * (s ** (1.0 / alpha) + r2) ** expo
     return env
 
@@ -113,6 +105,7 @@ def kernel_diagnostics(spec: KernelSpec, times) -> dict:
     images = _ENVELOPE_IMAGES[g.dims]
     ratio_min = math.inf
     ratio_max = -math.inf
+    residual = 0.0
     for t in times:
         s = spec.mu * t  # K_{alpha,mu}(x,t) = K_alpha(x, mu t)
         k = heat_kernel_field(spec, t).values
@@ -121,12 +114,8 @@ def kernel_diagnostics(spec: KernelSpec, times) -> dict:
         ratio_min = min(ratio_min, float(ratio.min()))
         ratio_max = max(ratio_max, float(ratio.max()))
 
-    # Self-similarity: K(x, s) == s^(-N/2a) * K(s^(-1/2a) x, 1), realised by
-    # evaluating the unit-time kernel on a grid rescaled by s^(-1/2a).
-    residual = 0.0
-    for t in times:
-        s = spec.mu * t
-        k = heat_kernel_field(spec, t).values
+        # Self-similarity: K(x, s) == s^(-N/2a) * K(s^(-1/2a) x, 1), realised
+        # by evaluating the unit-time kernel on a grid rescaled by s^(-1/2a).
         scale = s ** (-1.0 / (2.0 * spec.alpha))
         gref = make_grid(g.dims, g.extent * scale, g.points_per_axis)
         kref = heat_kernel_field(KernelSpec(spec.alpha, 1.0, gref), 1.0).values

@@ -16,9 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NegativeInitialData, NonFiniteInput, PicardDivergence
+from .errors import InvalidParameter, NegativeInitialData, NonFiniteInput, PicardDivergence
 from .rds_model import ReactionModel
 from .spectral_core import Field, Grid, make_grid
+
+
+PICARD_TOL = 1e-10  # relative sup-norm change that ends a window's iteration
+PICARD_MAX = 50  # iterations before a window is rejected
+MAX_HALVINGS = 45  # rejected windows (each halving dt) before solve_mild gives up
 
 
 @dataclass(frozen=True)
@@ -26,20 +31,17 @@ class SolverConfig:
     dt: float
     horizon: float
     alpha: float = 0.5
-    picard_tol: float = 1e-10
-    picard_max: int = 50
     dealias: bool = True
     blowup_factor: float = 1e6  # threshold = factor * initial sup-norm
     store_every: int = 1
-    max_halvings: int = 45
 
     def __post_init__(self):
-        if self.dt <= 0 or self.horizon <= 0 or self.dt > self.horizon:
-            raise ValueError("need 0 < dt <= horizon")
-        if self.picard_max < 2:
-            raise ValueError("picard_max must be >= 2")
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError("alpha must lie in (0, 1]")
+        if not 0.0 < self.horizon < np.inf:
+            raise InvalidParameter(f"must be positive and finite, got {self.horizon!r}", "horizon")
+        if not 0.0 < self.dt <= self.horizon:
+            raise InvalidParameter(f"must lie in (0, horizon], got {self.dt!r}", "dt")
+        if not 0.0 < self.alpha <= 1.0:
+            raise InvalidParameter(f"must lie in (0, 1], got {self.alpha!r}", "alpha")
 
 
 @dataclass
@@ -56,7 +58,6 @@ class Trajectory:
     grid: Grid
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)  # stacked (m, ...) arrays
-    diagnostics: list = field(default_factory=list)
     blowup_time: float | None = None
 
     # step-resolved records (kept even when states are thinned)
@@ -64,15 +65,29 @@ class Trajectory:
     step_diagnostics: list = field(default_factory=list)
 
 
-def _diag(grid: Grid, u: np.ndarray) -> StepDiagnostics:
+def _diag(grid: Grid, u: np.ndarray, iterations: int = 0, residual: float = 0.0):
     vol = grid.cell_volume
     return StepDiagnostics(
-        picard_iterations=0,
-        residual=0.0,
+        picard_iterations=iterations,
+        residual=residual,
         min_value=[float(ui.min()) for ui in u],
         sup_value=[float(np.abs(ui).max()) for ui in u],
         total_mass=[float(vol * ui.sum()) for ui in u],
     )
+
+
+def phi_weights(z: np.ndarray):
+    """Exponential trapezoidal weights of one window, elementwise in z >= 0:
+    (E, phi1, phi2) = (e^-z, (1 - e^-z)/z, (z - 1 + e^-z)/z^2), with their
+    Taylor polynomials below z = 1e-5, where the closed forms cancel."""
+    E = np.exp(-z)
+    small = z < 1e-5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi1 = -np.expm1(-z) / z
+        phi2 = (z + np.expm1(-z)) / z**2
+    phi1[small] = 1.0 - z[small] / 2.0 + z[small] ** 2 / 6.0
+    phi2[small] = 0.5 - z[small] / 6.0 + z[small] ** 2 / 24.0
+    return E, phi1, phi2
 
 
 def _dealias_mask(grid: Grid) -> np.ndarray:
@@ -95,7 +110,6 @@ class _Stepper:
     def __init__(self, grid: Grid, model: ReactionModel, alpha: float, dealias: bool):
         self.grid = grid
         self.model = model
-        self.alpha = alpha
         self.lam = grid.wavenumbers_squared() ** alpha  # |xi|^(2 alpha)
         self.mask = _dealias_mask(grid) if dealias else None
         self._cache = {}
@@ -105,19 +119,7 @@ class _Stepper:
             return self._cache[dt]
         except KeyError:
             pass
-        E, phi1, phi2 = [], [], []
-        for d in self.model.d:
-            z = d * dt * self.lam
-            e = np.exp(-z)
-            small = z < 1e-5
-            with np.errstate(divide="ignore", invalid="ignore"):
-                p1 = -np.expm1(-z) / z
-                p2 = (z + np.expm1(-z)) / z**2
-            p1[small] = 1.0 - z[small] / 2.0 + z[small] ** 2 / 6.0
-            p2[small] = 0.5 - z[small] / 6.0 + z[small] ** 2 / 24.0
-            E.append(e)
-            phi1.append(p1)
-            phi2.append(p2)
+        E, phi1, phi2 = zip(*(phi_weights(d * dt * self.lam) for d in self.model.d))
         w = (np.stack(E), np.stack(phi1), np.stack(phi2))
         if len(self._cache) < 64:
             self._cache[dt] = w
@@ -130,7 +132,7 @@ class _Stepper:
             fhat *= self.mask
         return fhat
 
-    def step(self, u: np.ndarray, t: float, dt: float, tol: float, max_iter: int):
+    def step(self, u: np.ndarray, t: float, dt: float):
         """One Duhamel window; returns (u_next, iterations, residual)."""
         shape = self.grid.shape
         axes = range(self.grid.dims)
@@ -146,7 +148,7 @@ class _Stepper:
         )
         scale = max(float(np.max(np.abs(u))), 1e-300)
         prev_res = np.inf
-        for it in range(1, max_iter + 1):
+        for it in range(1, PICARD_MAX + 1):
             fhat_w = self._rates_hat(w, t + dt)
             w_new = np.stack(
                 [np.fft.irfftn(base[i] + dt * phi2[i] * fhat_w[i], s=shape, axes=axes)
@@ -156,11 +158,11 @@ class _Stepper:
                 raise PicardDivergence(f"non-finite iterate at t={t:.6g}, dt={dt:.3g}")
             res = float(np.max(np.abs(w_new - w))) / max(scale, float(np.max(np.abs(w_new))))
             w = w_new
-            if res < tol:
+            if res < PICARD_TOL:
                 return w, it, res
             prev_res = res
         raise PicardDivergence(
-            f"no contraction to {tol:.1e} within {max_iter} iterations at "
+            f"no contraction to {PICARD_TOL:.1e} within {PICARD_MAX} iterations at "
             f"t={t:.6g} (last residual {prev_res:.3g}); dt likely too large"
         )
 
@@ -171,7 +173,7 @@ def solve_mild(model: ReactionModel, u0, cfg: SolverConfig) -> Trajectory:
     u = np.stack([np.asarray(f.values if isinstance(f, Field) else f, dtype=float)
                   for f in u0])
     if u.shape[0] != model.m:
-        raise ValueError(f"expected {model.m} species, got {u.shape[0]}")
+        raise InvalidParameter(f"expected {model.m} species, got {u.shape[0]}")
     if not np.all(np.isfinite(u)):
         raise NonFiniteInput("initial data contains NaN/Inf")
     if np.min(u) < 0:
@@ -191,9 +193,8 @@ def solve_mild(model: ReactionModel, u0, cfg: SolverConfig) -> Trajectory:
     traj = Trajectory(grid=grid)
     traj.times.append(0.0)
     traj.states.append(u.copy())
-    traj.diagnostics.append(_diag(grid, u))
     traj.step_times.append(0.0)
-    traj.step_diagnostics.append(traj.diagnostics[0])
+    traj.step_diagnostics.append(_diag(grid, u))
 
     t = 0.0
     dt_cur = cfg.dt
@@ -203,27 +204,22 @@ def solve_mild(model: ReactionModel, u0, cfg: SolverConfig) -> Trajectory:
     while t < cfg.horizon - eps:
         dt_step = min(dt_cur, cfg.horizon - t)
         try:
-            u_next, iters, res = stepper.step(
-                u, t, dt_step, cfg.picard_tol, cfg.picard_max
-            )
+            u_next, iters, res = stepper.step(u, t, dt_step)
         except PicardDivergence:
-            if halvings >= cfg.max_halvings:
+            if halvings >= MAX_HALVINGS:
                 raise
             dt_cur /= 2.0
             halvings += 1
             continue
         t += dt_step
         u = u_next
-        d = _diag(grid, u)
-        d.picard_iterations = iters
-        d.residual = res
+        d = _diag(grid, u, iters, res)
         traj.step_times.append(t)
         traj.step_diagnostics.append(d)
         steps_since_store += 1
         if steps_since_store >= cfg.store_every or t >= cfg.horizon - eps:
             traj.times.append(t)
             traj.states.append(u.copy())
-            traj.diagnostics.append(d)
             steps_since_store = 0
         if sum(d.sup_value) > threshold:
             traj.blowup_time = t

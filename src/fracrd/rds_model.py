@@ -10,13 +10,14 @@ found among the sampled states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
 from .errors import (
     DissipationViolated,
+    InvalidParameter,
     MissingMeta,
     ModelUnknown,
     NegativeStateBeyondTolerance,
@@ -51,33 +52,23 @@ class ReactionModel:
 
     def __post_init__(self):
         if len(self.d) != self.m:
-            raise ValueError("need one diffusivity per species")
-        if any(di <= 0 for di in self.d):
-            raise ValueError("all diffusivities must be positive")
+            raise InvalidParameter(f"need one diffusivity per species ({self.m})")
+        if not all(0.0 < di < np.inf for di in self.d):
+            raise InvalidParameter(f"diffusivities must be positive and finite, got {self.d}")
         if self.isc_matrix is not None:
             a = np.asarray(self.isc_matrix, dtype=float)
             if a.shape != (self.m, self.m):
-                raise ValueError("ISC matrix must be m x m")
+                raise InvalidParameter("ISC matrix must be m x m")
             if not np.allclose(np.triu(a, 1), 0.0):
-                raise ValueError("ISC matrix must be lower triangular")
+                raise InvalidParameter("ISC matrix must be lower triangular")
             if not np.allclose(np.diag(a), 1.0):
-                raise ValueError("ISC matrix must have unit diagonal")
+                raise InvalidParameter("ISC matrix must have unit diagonal")
             if np.any(a < 0):
-                raise ValueError("ISC matrix entries must be nonnegative")
+                raise InvalidParameter("ISC matrix entries must be nonnegative")
             object.__setattr__(self, "isc_matrix", a)
 
     def with_diffusivities(self, d) -> "ReactionModel":
-        return ReactionModel(
-            name=self.name,
-            m=self.m,
-            d=tuple(float(x) for x in d),
-            f=self.f,
-            isc_matrix=self.isc_matrix,
-            rho=self.rho,
-            nu=self.nu,
-            growth_c=self.growth_c,
-            phi=self.phi,
-        )
+        return replace(self, d=tuple(float(x) for x in d))
 
 
 @dataclass

@@ -17,6 +17,7 @@ from .errors import (
     BetaOutOfRange,
     GridTooLarge,
     InvalidDims,
+    InvalidParameter,
     MemoryBudgetExceeded,
     NonFiniteInput,
     NotPowerOfTwo,
@@ -25,10 +26,6 @@ from .errors import (
 # Node-count cap checked at grid construction (2^24 doubles ~ 128 MB of
 # workspace once a handful of spectral buffers are alive).
 MAX_NODES = 2**24
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -69,10 +66,7 @@ class Grid:
 
     def radius_squared(self) -> np.ndarray:
         """|x|^2 at every node (periodic coordinates, origin at index 0)."""
-        r2 = np.zeros(self.shape)
-        for c in self.coord_arrays():
-            r2 += c * c
-        return r2
+        return next(image_r2(self, 0))
 
     def wavenumbers_squared(self) -> np.ndarray:
         """|xi|^2 on the rfftn-layout spectral grid, xi_j = 2*pi*j/L."""
@@ -87,21 +81,19 @@ class Grid:
         return ksq
 
 
-def make_grid(dims: int, extent: float, points_per_axis: int) -> Grid:
+def make_grid(dims: int, extent: float, points: int) -> Grid:
     """Build a periodic Grid; validates dims, power-of-two size, memory."""
-    if dims not in (1, 2, 3):
-        raise InvalidDims(f"dims must be 1, 2 or 3, got {dims}")
-    if not _is_power_of_two(points_per_axis) or points_per_axis < 8:
-        raise NotPowerOfTwo(
-            f"points_per_axis must be a power of two >= 8, got {points_per_axis}"
-        )
-    if extent <= 0:
-        raise InvalidDims(f"extent must be positive, got {extent}")
-    if points_per_axis**dims > MAX_NODES:
+    if not isinstance(dims, int) or dims not in (1, 2, 3):
+        raise InvalidDims(f"must be 1, 2 or 3, got {dims!r}", "dims")
+    if not isinstance(points, int) or points < 8 or points & (points - 1):
+        raise NotPowerOfTwo(f"must be a power of two >= 8, got {points!r}", "points")
+    if not 0.0 < extent < math.inf:
+        raise InvalidDims(f"must be a positive finite real, got {extent!r}", "extent")
+    if points**dims > MAX_NODES:
         raise MemoryBudgetExceeded(
-            f"{points_per_axis}^{dims} nodes exceed the {MAX_NODES} node budget"
+            f"{points}^{dims} = {points**dims} nodes exceed the {MAX_NODES} node budget", "points"
         )
-    return Grid(dims=dims, points_per_axis=points_per_axis, extent=extent)
+    return Grid(dims=dims, points_per_axis=points, extent=extent)
 
 
 @dataclass(frozen=True)
@@ -114,7 +106,7 @@ class Field:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.shape != self.grid.shape:
-            raise ValueError(f"values shape {v.shape} != grid shape {self.grid.shape}")
+            raise InvalidParameter(f"values shape {v.shape} != grid shape {self.grid.shape}")
         object.__setattr__(self, "values", v)
         v.flags.writeable = False
 
@@ -217,10 +209,9 @@ def _cell_weights_1d(grid: Grid, beta: float, images: int):
     ab = np.abs(zc) - 0.5 * h
     bb = np.abs(zc) + 0.5 * h
     base = ab > 0
-    m0 = np.zeros_like(zc)
+    m0 = w[:, images]  # the image-0 column of w is the base-cell integral
     m1 = np.zeros_like(zc)
     m2 = np.zeros_like(zc)
-    m0[base] = (ab[base] ** (-2.0 * beta) - bb[base] ** (-2.0 * beta)) / (2.0 * beta)
     if abs(beta - 0.5) < 1e-12:
         m1[base] = np.log(bb[base] / ab[base])
     else:
@@ -237,28 +228,36 @@ def _cell_weights_1d(grid: Grid, beta: float, images: int):
     return w0, w1, w2
 
 
+def image_r2(grid: Grid, images: int, shifts=None):
+    """Yield |x + L n + s|^2 on the lattice for each periodic image n in
+    {-images, ..., images}^N and, within it, each shift s (one flat array
+    per axis; by default the zero shift alone), always in the same order."""
+    coords = grid.coord_arrays()
+    img_axis = grid.extent * np.arange(-images, images + 1)
+    img = [m.ravel() for m in np.meshgrid(*([img_axis] * grid.dims), indexing="ij")]
+    if shifts is None:
+        shifts = [np.zeros(1)] * grid.dims
+    for k in range(img[0].size):
+        for q in range(shifts[0].size):
+            r2 = np.zeros(grid.shape)
+            for ax in range(grid.dims):
+                d = coords[ax] + img[ax][k] + shifts[ax][q]
+                r2 += d * d
+            yield r2
+
+
 def _cell_weights_nd(grid: Grid, beta: float, images: int, sub: int = 5) -> np.ndarray:
     """Subsampled cell-averaged kernel weights, periodised over images (N>1)."""
     h = grid.spacing
-    L = grid.extent
     expo = -(grid.dims + 2.0 * beta) / 2.0
-    off = grid.coord_arrays()
-    img = np.meshgrid(*([L * np.arange(-images, images + 1)] * grid.dims), indexing="ij")
-    img_flat = [m.ravel() for m in img]
     # sub-cell midpoint nodes
     s = (np.arange(sub) + 0.5) / sub - 0.5
-    subs = np.meshgrid(*([s * h] * grid.dims), indexing="ij")
-    subs_flat = [m.ravel() for m in subs]
+    subs = [m.ravel() for m in np.meshgrid(*([s * h] * grid.dims), indexing="ij")]
     weights = np.zeros(grid.shape)
-    for k in range(img_flat[0].size):
-        for q in range(subs_flat[0].size):
-            d2 = np.zeros(grid.shape)
-            for ax in range(grid.dims):
-                d = off[ax] + img_flat[ax][k] + subs_flat[ax][q]
-                d2 += d * d
-            contrib = np.where(d2 > 0, d2, 1.0) ** expo
-            contrib = np.where(d2 > 0, contrib, 0.0)
-            weights += contrib
+    for d2 in image_r2(grid, images, subs):
+        contrib = np.where(d2 > 0, d2, 1.0) ** expo
+        contrib = np.where(d2 > 0, contrib, 0.0)
+        weights += contrib
     weights *= grid.cell_volume / sub**grid.dims
     # zero out the singular central cell entirely; handled by the inner
     # curvature correction

@@ -2,7 +2,11 @@ import copy
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from fracrd import cli_runner
+from fracrd import estimate_lab as el
 from fracrd.cli_runner import (
     SUITES,
     load_config,
@@ -42,6 +46,66 @@ def _demo():
     return copy.deepcopy(DEMO)
 
 
+def _tiny(mutations=()):
+    """DEMO on 16 points to t = 0.2, with (key path, value) mutations applied
+    deepest first, so a replaced section never hides a deeper key."""
+    cfg = _demo()
+    cfg["grid"]["points"] = 16
+    cfg["solver"]["horizon"] = 0.2
+    for keys, value in sorted(mutations, key=lambda m: -len(m[0])):
+        node = cfg
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = copy.deepcopy(value)
+    return cfg
+
+
+# Config defects that used to fail only after the solve or with a traceback,
+# each with the config path its message must start with.
+DEFECTS = [
+    ("solver.dt", [(("solver", "dt"), 0.5)]),
+    ("reports.gn.q", [(("grid", "dims"), 2), (("reports", "gn", "q"), 4)]),
+    ("reports.sv.ell", [(("reports", "sv", "ell"), [1])]),
+    ("reports.sv", [(("reports", "sv", "alpha"), [1.5])]),
+    ("reports.holder_gamma", [(("reports", "holder_gamma"), [1.5])]),
+    ("initial_data[1]", [(("initial_data", 1), "gaussian-bump")]),
+    ("diffusivities", [(("diffusivities", 1), "fast")]),
+]
+
+# Every field validate_config owns, each with valid and invalid values.
+FIELDS = {
+    ("schema_version",): [1, 2],
+    ("seed",): [0, 7, -1, 1.5, "0"],
+    ("grid", "dims"): [1, 2, 0, 4, 1.0],
+    ("grid", "points"): [8, 32, 10, 4, 8.0, None],
+    ("grid", "extent"): [10.0, 40, 0, -1.0, "wide", float("nan")],
+    ("model",): ["bimolecular", "dissipative-pair", "nope", 5, None, {"name": "x"}],
+    ("diffusivities",): [[1.0, 1.0, 1.0, 1.0], [1.0, 1.0], [1.0, 0.0, 1.0, 1.0],
+                         [1.0, float("inf"), 1.0, 1.0], 3, None],
+    ("initial_data",): [[], "bump"],
+    ("initial_data", 0): [{"profile": "random-band-limited", "amplitude": 0.5},
+                          {"profile": "nope"}, "constant", {"profile": "constant", "amplitude": -1},
+                          {"profile": "gaussian-bump", "width": 0},
+                          {"profile": "two-bumps", "floor": "low"}],
+    ("solver", "dt"): [0.1, 0.2, 0, -0.05, 0.5, "x"],
+    ("solver", "horizon"): [0.1, 0.01, 0, float("inf")],
+    ("solver", "alpha"): [1.0, 0.25, 0, 1.5, "x"],
+    ("solver", "store_every"): [3, "x"],
+    ("reports", "norm_p"): [[1, "inf"], [0.5], ["x"], 3],
+    ("reports", "weak_p"): [1, 0, "2", None],
+    ("reports", "holder_gamma"): [[0.25, 0.75], [1.5], [0], ["x"], 0.5],
+    ("reports", "sv", "ell"): [[2, 4], [1], ["x"]],
+    ("reports", "sv", "alpha"): [[0.3, 1.0], [1.5], [0]],
+    ("reports", "sv", "fields"): [0, 2, "x"],
+    ("reports", "gn", "q"): [3.0, 2.0, 10.0, "x"],
+    ("reports", "gn", "alpha"): [0.9, 3.0, 0],
+    ("reports", "gn", "fields"): [1, 0, "x"],
+    ("reports", "ladder", "rho"): [1.2, 2.5, 0.5, "x"],
+    ("reports", "ladder", "p0"): [3.0, 1.0],
+    ("reports", "ladder", "eps_star"): [0.5, -1.0],
+}
+
+
 def test_validate_accepts_demo():
     validate_config(_demo())
 
@@ -65,6 +129,65 @@ def test_validate_rejects_inadmissible_rho_before_compute():
     with pytest.raises(ConfigInvalid) as exc:
         validate_config(cfg)
     assert any("rho" in m for m in exc.value.messages)
+
+
+@pytest.mark.parametrize("path,mutations", DEFECTS, ids=[d[0] for d in DEFECTS])
+def test_config_defects_fail_before_solve(tmp_path, monkeypatch, capsys, path, mutations):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_mild called on an invalid config")
+
+    monkeypatch.setattr(cli_runner, "solve_mild", no_solve)
+    cfg = _tiny(mutations)
+    with pytest.raises(ConfigInvalid) as exc:
+        run_scenario(cfg, outdir=str(tmp_path / "run"))
+    assert any(m.startswith(path + ": ") for m in exc.value.messages)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "cli")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutations=st.lists(st.sampled_from([(k, v) for k, vs in FIELDS.items() for v in vs]),
+                          min_size=1, max_size=3))
+def test_config_rejected_before_solve_or_run(tmp_path, monkeypatch, mutations):
+    solves = []
+    real_solve = cli_runner.solve_mild
+
+    def counting_solve(*args, **kwargs):
+        solves.append(args)
+        return real_solve(*args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cli_runner, "solve_mild", counting_solve)
+        try:
+            man = run_scenario(_tiny(mutations), outdir=str(tmp_path / "run"))
+        except ConfigInvalid:
+            assert not solves
+        else:
+            assert len(solves) == 1 and "final_state.csv" in man["files"]
+
+
+# The confirmed defects are explicit examples of the property as well.
+for _path, _mutations in DEFECTS:
+    test_config_rejected_before_solve_or_run = example(mutations=_mutations)(
+        test_config_rejected_before_solve_or_run
+    )
+
+
+def test_weak_norm_check_covers_every_species(tmp_path, monkeypatch):
+    real_report = el.norm_report
+
+    def inflated(*args, **kwargs):
+        report = real_report(*args, **kwargs)
+        report.weak_norms[-1] = 2.0 * report.spacetime[(3, 2.0)]
+        return report
+
+    monkeypatch.setattr(el, "norm_report", inflated)
+    man = run_scenario(_demo(), outdir=str(tmp_path / "run"))
+    assert man["violations"] == ["weak-L2 above strong for species 3"]
 
 
 def test_run_scenario_manifest(tmp_path):
@@ -116,7 +239,7 @@ def test_verify_suites_and_determinism(tmp_path):
     assert m1["files"] == m2["files"]
 
 
-def test_main_exit_codes(tmp_path):
+def test_main_exit_codes(tmp_path, capsys):
     cfg_path = tmp_path / "demo.json"
     cfg_path.write_text(json.dumps(_demo()))
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "r")]) == 0
@@ -124,7 +247,19 @@ def test_main_exit_codes(tmp_path):
     bad["model"] = "nope"
     bad_path = tmp_path / "bad.json"
     bad_path.write_text(json.dumps(bad))
-    assert main(["run", str(bad_path), "--out", str(tmp_path / "r2")]) == 1
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"grid": ')
+    capsys.readouterr()
+    for argv in (
+        ["run", str(bad_path)],
+        ["run", str(tmp_path / "missing.json")],
+        ["run", str(malformed)],
+        ["sweep", str(cfg_path), "--axis", "alpha", "--values", "a,b"],
+        ["verify", "bogus"],
+    ):
+        assert main(argv + ["--out", str(tmp_path / "r2")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
     assert main(["verify", "ladder", "--out", str(tmp_path / "v")]) == 0
 
 
