@@ -111,7 +111,7 @@ def validate_config(cfg: dict) -> dict:
         msgs.append(f"initial_data: expected {model.m} profiles, got {len(init)}")
     else:
         for k, spec in enumerate(init):
-            check(f"initial_data[{k}]", _check_profile, spec)
+            check(f"initial_data[{k}]", _check_profile, spec, grid.dims if grid else None)
 
     rep = cfg.get("reports", {})
     if not isinstance(rep, dict):
@@ -197,23 +197,39 @@ def _bump(grid, center, width):
     return np.exp(-r2 / (2.0 * width**2))
 
 
-def _check_profile(spec):
-    """Raise unless spec is an initial-data entry naming a known profile,
-    with amplitude, width and floor (where given) nonnegative finite reals."""
+def _finite_real(x) -> bool:
+    return not isinstance(x, bool) and isinstance(x, (int, float)) and math.isfinite(x)
+
+
+def _check_profile(spec, dims):
+    """Raise unless spec is an initial-data entry naming a known profile
+    whose keys, where given, hold: amplitude, width and floor nonnegative
+    finite reals; center one finite real per axis of the dims-dimensional
+    grid (any length when dims is None); separation a finite real; modes an
+    integer >= 1."""
     if not isinstance(spec, dict) or spec.get("profile") not in PROFILES:
         raise InvalidParameter(f"must be an object with a profile in {PROFILES}, got {spec!r}")
     for key in ("amplitude", "width", "floor"):
         x = spec.get(key, 0.0)
-        if isinstance(x, bool) or not isinstance(x, (int, float)) or not 0 <= x < math.inf:
+        if not (_finite_real(x) and x >= 0):
             raise InvalidParameter(f"must be a nonnegative finite real, got {x!r}", key)
     if spec.get("width") == 0:
         raise InvalidParameter("must be positive, got 0", "width")
+    c = spec.get("center")
+    if c is not None and not (isinstance(c, list) and all(map(_finite_real, c))
+                              and (dims is None or len(c) == dims)):
+        raise InvalidParameter(f"must list one finite real per grid axis, got {c!r}", "center")
+    if not _finite_real(spec.get("separation", 0.0)):
+        raise InvalidParameter(f"must be a finite real, got {spec['separation']!r}", "separation")
+    modes = spec.get("modes", 1)
+    if isinstance(modes, bool) or not isinstance(modes, int) or modes < 1:
+        raise InvalidParameter(f"must be an integer >= 1, got {modes!r}", "modes")
 
 
 def make_profile(grid, spec: dict, rng: np.random.Generator) -> Field:
     """The initial-data field spec describes; rng is drawn from only by the
     random-band-limited profile."""
-    _check_profile(spec)
+    _check_profile(spec, grid.dims)
     prof = spec["profile"]
     amp = spec.get("amplitude", 1.0)
     width = spec.get("width", grid.extent / 16.0)
@@ -369,17 +385,20 @@ def run_scenario(cfg: dict, outdir=None) -> dict:
     rep = cfg.get("reports", {})
     norm_p = [_as_float(p) for p in rep.get("norm_p", [2.0])]
     weak_p = rep.get("weak_p")
-    report = el.norm_report(traj, norm_p, weak_p=weak_p)
+    # the weak-versus-strong check needs the strong L^weak_p(Q) norm even
+    # when norms.csv does not list weak_p
+    strong_p = norm_p if weak_p is None else list(dict.fromkeys(norm_p + [float(weak_p)]))
+    report = el.norm_report(traj, strong_p, weak_p=weak_p)
     rows = []
     for (i, p), val in sorted(report.spacetime.items()):
-        rows.append([i, "inf" if math.isinf(p) else p, val])
+        if p in norm_p:
+            rows.append([i, "inf" if math.isinf(p) else p, val])
     write_csv(os.path.join(outdir, "norms.csv"),
               ["species", "p", "spacetime_norm"], rows)
     files.append(os.path.join(outdir, "norms.csv"))
     if weak_p is not None:
         for i, wn in enumerate(report.weak_norms):
-            strong = report.spacetime.get((i, _as_float(weak_p)))
-            if strong is not None and wn > strong * (1.0 + 1e-12):
+            if wn > report.spacetime[(i, weak_p)] * (1.0 + 1e-12):
                 violations.append(f"weak-L{weak_p} above strong for species {i}")
 
     write_csv(os.path.join(outdir, "windowed_sup.csv"),
@@ -470,8 +489,7 @@ def sweep(cfg: dict, axis: str, values, outdir=None) -> list:
     values = list(values)
     if not values:
         raise EmptyValues("sweep needs at least one value")
-    outdir = _resolve_outdir(outdir or cfg.get("output_dir"), "fracrd-sweep")
-    rows = []
+    subs, msgs = [], []
     for v in values:
         sub = copy.deepcopy(cfg)
         node = sub
@@ -480,6 +498,16 @@ def sweep(cfg: dict, axis: str, values, outdir=None) -> list:
             node = node.setdefault(key, {})
         node[path[-1]] = int(v) if axis == "points" else float(v)
         sub.pop("output_dir", None)
+        try:
+            validate_config(sub)
+        except ConfigInvalid as e:
+            msgs.extend(f"{axis}={v}: {m}" for m in e.messages)
+        subs.append(sub)
+    if msgs:
+        raise ConfigInvalid(msgs)
+    outdir = _resolve_outdir(outdir or cfg.get("output_dir"), "fracrd-sweep")
+    rows = []
+    for v, sub in zip(values, subs):
         man = run_scenario(sub, outdir=os.path.join(outdir, f"{axis}={v}"))
         rows.append([v, man["passed"], len(man["violations"]),
                      man["blowup_time"] if man["blowup_time"] is not None else ""])

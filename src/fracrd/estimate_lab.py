@@ -27,7 +27,7 @@ from .errors import (
     ZeroField,
 )
 from .mild_solver import Trajectory, phi_weights
-from .spectral_core import Field, FracPower, frac_power, integral, lp_norm
+from .spectral_core import Field, FracPower, frac_power, integral, irfft, lp_norm, rfft
 
 
 # ----------------------------------------------------------------------
@@ -252,25 +252,22 @@ def maximal_reg_ratio(f_traj, times, alpha: float, mu: float, grid) -> float:
     lam = grid.wavenumbers_squared() ** alpha
     E, phi1, phi2 = phi_weights(mu * dt * lam)
 
-    fhat = np.stack([np.fft.rfftn(fk) for fk in f])
-    uhat = np.zeros_like(fhat[0])
-    gsq = []  # ||(-Dl)^a u(t_k)||_2^2 via Parseval-free physical evaluation
-    vol = grid.cell_volume
-
-    def g_norm_sq(uh):
-        gvals = np.fft.irfftn(lam * uh, s=grid.shape, axes=range(grid.dims))
-        return float(vol * np.sum(gvals**2))
-
-    gsq.append(g_norm_sq(uhat))
+    fhat = rfft(f, grid)
+    uhat = np.zeros_like(fhat)  # spectral history, uhat[0] = 0
     for k in range(len(times) - 1):
-        uhat = E * uhat + dt * ((phi1 - phi2) * fhat[k] + phi2 * fhat[k + 1])
-        gsq.append(g_norm_sq(uhat))
+        uhat[k + 1] = E * uhat[k] + dt * ((phi1 - phi2) * fhat[k] + phi2 * fhat[k + 1])
+
+    # ||(-Dl)^a u(t_k)||_2^2 and ||f(t_k)||_2^2 by Parseval-free physical
+    # evaluation, all steps at once; g is reused as the buffer for both
+    space = tuple(range(1, f.ndim))
+    uhat *= lam
+    g = irfft(uhat, grid)
+    gsq = grid.cell_volume * np.sum(np.square(g, out=g), axis=space)
+    fsq = grid.cell_volume * np.sum(np.square(f, out=g), axis=space)
 
     w = np.full(len(times), dt)
     w[0] = w[-1] = 0.5 * dt  # trapezoidal time quadrature
-    num = math.sqrt(float(np.dot(w, gsq)))
-    den = math.sqrt(float(np.dot(w, [vol * np.sum(fk**2) for fk in f])))
-    return num / den
+    return math.sqrt(float(np.dot(w, gsq))) / math.sqrt(float(np.dot(w, fsq)))
 
 
 def solve_forced_mode(times, lam: float, mu: float, fhat) -> np.ndarray:

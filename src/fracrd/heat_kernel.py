@@ -20,7 +20,7 @@ from .errors import (
     NonPositiveTime,
     TailMassTooLarge,
 )
-from .spectral_core import Field, Grid, apply_multiplier, image_r2, lp_norm, make_grid
+from .spectral_core import Field, Grid, apply_multiplier, image_r2, irfft, lp_norm, make_grid
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ def heat_kernel_field(spec: KernelSpec, t: float) -> Field:
     g = spec.grid
     ksq = g.wavenumbers_squared()
     symbol = np.exp(-spec.mu * t * ksq**spec.alpha)
-    vals = np.fft.irfftn(symbol.astype(complex), s=g.shape, axes=range(g.dims)) / g.cell_volume
+    vals = irfft(symbol, g) / g.cell_volume
     return Field(g, vals)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidParameter, NegativeInitialData, NonFiniteInput, PicardDivergence
 from .rds_model import ReactionModel
-from .spectral_core import Field, Grid, make_grid
+from .spectral_core import Field, Grid, irfft, make_grid, rfft
 
 
 PICARD_TOL = 1e-10  # relative sup-norm change that ends a window's iteration
@@ -90,20 +90,6 @@ def phi_weights(z: np.ndarray):
     return E, phi1, phi2
 
 
-def _dealias_mask(grid: Grid) -> np.ndarray:
-    """2/3-rule mask on the rfftn spectral layout."""
-    n = grid.points_per_axis
-    cut = n // 3
-    full = np.abs(np.fft.fftfreq(n) * n)
-    half = np.abs(np.fft.rfftfreq(n) * n)
-    axes = [full] * (grid.dims - 1) + [half]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    mask = np.ones(mesh[0].shape, dtype=bool)
-    for a in mesh:
-        mask &= a <= cut
-    return mask
-
-
 class _Stepper:
     """Precomputed multipliers for one (grid, model, alpha, dt) combination."""
 
@@ -111,7 +97,7 @@ class _Stepper:
         self.grid = grid
         self.model = model
         self.lam = grid.wavenumbers_squared() ** alpha  # |xi|^(2 alpha)
-        self.mask = _dealias_mask(grid) if dealias else None
+        self.mask = grid.dealias_mask() if dealias else None
         self._cache = {}
 
     def weights(self, dt: float):
@@ -119,41 +105,33 @@ class _Stepper:
             return self._cache[dt]
         except KeyError:
             pass
-        E, phi1, phi2 = zip(*(phi_weights(d * dt * self.lam) for d in self.model.d))
-        w = (np.stack(E), np.stack(phi1), np.stack(phi2))
+        d = np.reshape(self.model.d, (-1,) + (1,) * self.grid.dims)
+        w = phi_weights(d * dt * self.lam)  # (E, phi1, phi2), each (m, ...)
         if len(self._cache) < 64:
             self._cache[dt] = w
         return w
 
     def _rates_hat(self, u: np.ndarray, t: float) -> np.ndarray:
         f = np.asarray(self.model.f(u, t), dtype=float)
-        fhat = np.stack([np.fft.rfftn(fi) for fi in f])
+        fhat = rfft(f, self.grid)
         if self.mask is not None:
             fhat *= self.mask
         return fhat
 
     def step(self, u: np.ndarray, t: float, dt: float):
         """One Duhamel window; returns (u_next, iterations, residual)."""
-        shape = self.grid.shape
-        axes = range(self.grid.dims)
         E, phi1, phi2 = self.weights(dt)
-        uhat = np.stack([np.fft.rfftn(ui) for ui in u])
+        uhat = rfft(u, self.grid)
         fhat_n = self._rates_hat(u, t)
         base = E * uhat + dt * (phi1 - phi2) * fhat_n
 
         # exponential-Euler predictor
-        w = np.stack(
-            [np.fft.irfftn(E[i] * uhat[i] + dt * phi1[i] * fhat_n[i], s=shape, axes=axes)
-             for i in range(len(u))]
-        )
+        w = irfft(E * uhat + dt * phi1 * fhat_n, self.grid)
         scale = max(float(np.max(np.abs(u))), 1e-300)
         prev_res = np.inf
         for it in range(1, PICARD_MAX + 1):
             fhat_w = self._rates_hat(w, t + dt)
-            w_new = np.stack(
-                [np.fft.irfftn(base[i] + dt * phi2[i] * fhat_w[i], s=shape, axes=axes)
-                 for i in range(len(u))]
-            )
+            w_new = irfft(base + dt * phi2 * fhat_w, self.grid)
             if not np.all(np.isfinite(w_new)):
                 raise PicardDivergence(f"non-finite iterate at t={t:.6g}, dt={dt:.3g}")
             res = float(np.max(np.abs(w_new - w))) / max(scale, float(np.max(np.abs(w_new))))

@@ -115,7 +115,7 @@ def _phi_floor(model: ReactionModel) -> float:
 def check_assumption(model, which: Assumption, sampler=None, count: int = 200, tol: float = 1e-9) -> AssumptionReport:
     """Sample states and hunt for violations of one structural assumption."""
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise InvalidParameter(f"must be >= 1, got {count}", "count")
     rng = np.random.default_rng(0)
     gen = sampler if sampler is not None else default_sampler(model.m, rng)
     if which in (Assumption.QUADRATIC, Assumption.POL) and model.growth_c is None:
@@ -172,7 +172,7 @@ def check_assumption(model, which: Assumption, sampler=None, count: int = 200, t
             if worst > bound + tol * max(scale**model.nu, 1.0):
                 report.violations.append((u.tolist(), worst))
         else:
-            raise ValueError(f"unknown assumption {which}")
+            raise InvalidParameter(f"unknown assumption {which}")
     return report
 
 
@@ -264,9 +264,11 @@ def polynomial_model(name, species, diffusivities, terms, **meta) -> ReactionMod
     integer exponents.  f_i(u) = sum coef * prod_j u_j^powers_j.
     """
     m = int(species)
-    terms = [
-        [(float(c), tuple(int(e) for e in pw)) for c, pw in ti] for ti in terms
-    ]
+    if len(terms) != m or any(len(pw) != m or any(type(e) is not int or e < 0 for e in pw)
+                              for ti in terms for _, pw in ti):
+        raise InvalidParameter(f"must hold {m} term lists, each power vector {m} "
+                               "nonnegative integers", "terms")
+    terms = [[(float(c), tuple(pw)) for c, pw in ti] for ti in terms]
 
     def rates(u, t):
         out = []

@@ -68,17 +68,20 @@ class Grid:
         """|x|^2 at every node (periodic coordinates, origin at index 0)."""
         return next(image_r2(self, 0))
 
+    def _spectral_mesh(self, d: float) -> list:
+        """Frequencies j/(n d) along each axis of the rfftn half-spectrum."""
+        n = self.points_per_axis
+        full, half = np.fft.fftfreq(n, d), np.fft.rfftfreq(n, d)
+        return np.meshgrid(*[full] * (self.dims - 1), half, indexing="ij")
+
     def wavenumbers_squared(self) -> np.ndarray:
         """|xi|^2 on the rfftn-layout spectral grid, xi_j = 2*pi*j/L."""
+        return sum((2.0 * np.pi * f) ** 2 for f in self._spectral_mesh(self.spacing))
+
+    def dealias_mask(self) -> np.ndarray:
+        """2/3-rule mask on the rfftn spectral layout: |j| <= n/3 on every axis."""
         n = self.points_per_axis
-        full = 2.0 * np.pi * np.fft.fftfreq(n, d=self.spacing)
-        half = 2.0 * np.pi * np.fft.rfftfreq(n, d=self.spacing)
-        axes = [full] * (self.dims - 1) + [half]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        ksq = np.zeros(mesh[0].shape)
-        for k in mesh:
-            ksq += k * k
-        return ksq
+        return np.all([np.abs(f * n) <= n // 3 for f in self._spectral_mesh(1.0)], axis=0)
 
 
 def make_grid(dims: int, extent: float, points: int) -> Grid:
@@ -143,11 +146,20 @@ def integral(u: Field) -> float:
     return float(u.grid.cell_volume * np.sum(u.values))
 
 
+def rfft(u: np.ndarray, grid: Grid) -> np.ndarray:
+    """rfftn over the trailing grid.dims axes of u; leading axes are a batch
+    (species, time steps), transformed together in one call."""
+    return np.fft.rfftn(u, axes=range(-grid.dims, 0))
+
+
+def irfft(uh: np.ndarray, grid: Grid) -> np.ndarray:
+    """Inverse of rfft: real lattice values over the trailing grid.dims axes."""
+    return np.fft.irfftn(uh, s=grid.shape, axes=range(-grid.dims, 0))
+
+
 def apply_multiplier(u: Field, multiplier: np.ndarray) -> Field:
-    """Apply a real Fourier multiplier via rfftn/irfftn."""
-    spec = np.fft.rfftn(u.values)
-    out = np.fft.irfftn(spec * multiplier, s=u.grid.shape, axes=range(u.grid.dims))
-    return Field(u.grid, out)
+    """Apply a real Fourier multiplier on the rfftn layout."""
+    return Field(u.grid, irfft(rfft(u.values, u.grid) * multiplier, u.grid))
 
 
 def frac_power(u: Field, p: FracPower) -> Field:

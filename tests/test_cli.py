@@ -60,6 +60,11 @@ def _tiny(mutations=()):
     return cfg
 
 
+# An inline two-species model, f = (-u1 u2, -u1 u2), with initial data for it.
+PAIR = {"name": "pair", "species": 2, "diffusivities": [1.0, 1.0],
+        "terms": [[[-1.0, [1, 1]]], [[-1.0, [1, 1]]]]}
+PAIR_DATA = [{"profile": "constant", "amplitude": 0.5}] * 2
+
 # Config defects that used to fail only after the solve or with a traceback,
 # each with the config path its message must start with.
 DEFECTS = [
@@ -70,6 +75,15 @@ DEFECTS = [
     ("reports.holder_gamma", [(("reports", "holder_gamma"), [1.5])]),
     ("initial_data[1]", [(("initial_data", 1), "gaussian-bump")]),
     ("diffusivities", [(("diffusivities", 1), "fast")]),
+    ("initial_data[0].center", [(("grid", "dims"), 2), (("reports", "gn", "q"), 3.0),
+                                (("initial_data", 0, "center"), [1.0])]),
+    ("initial_data[3].modes", [(("initial_data", 3),
+                                {"profile": "random-band-limited", "modes": "x"})]),
+    ("initial_data[2].separation", [(("initial_data", 2, "separation"), "x")]),
+    ("model.terms", [(("model",), dict(PAIR, terms=[[[-1.0, [1, 1, 1]]], [[-1.0, [1, 1]]]])),
+                     (("diffusivities",), [1.0, 1.0]), (("initial_data",), PAIR_DATA)]),
+    ("model.terms", [(("model",), dict(PAIR, terms=[[[-1.0, [1, 1]]]])),
+                     (("diffusivities",), [1.0, 1.0]), (("initial_data",), PAIR_DATA)]),
 ]
 
 # Every field validate_config owns, each with valid and invalid values.
@@ -79,7 +93,10 @@ FIELDS = {
     ("grid", "dims"): [1, 2, 0, 4, 1.0],
     ("grid", "points"): [8, 32, 10, 4, 8.0, None],
     ("grid", "extent"): [10.0, 40, 0, -1.0, "wide", float("nan")],
-    ("model",): ["bimolecular", "dissipative-pair", "nope", 5, None, {"name": "x"}],
+    ("model",): ["bimolecular", "dissipative-pair", "nope", 5, None, {"name": "x"},
+                 dict(PAIR, terms=[[[-1.0, [1, 1, 1]]], [[-1.0, [1, 1]]]]),
+                 dict(PAIR, terms=[[[-1.0, [1, -1]]], [[-1.0, [1, 1]]]]),
+                 dict(PAIR, terms=[[[-1.0, [1, 1]]]])],
     ("diffusivities",): [[1.0, 1.0, 1.0, 1.0], [1.0, 1.0], [1.0, 0.0, 1.0, 1.0],
                          [1.0, float("inf"), 1.0, 1.0], 3, None],
     ("initial_data",): [[], "bump"],
@@ -87,6 +104,12 @@ FIELDS = {
                           {"profile": "nope"}, "constant", {"profile": "constant", "amplitude": -1},
                           {"profile": "gaussian-bump", "width": 0},
                           {"profile": "two-bumps", "floor": "low"}],
+    ("initial_data", 0, "center"): [[0.5], [1.0, 2.0], [float("nan")], [True], "x"],
+    ("initial_data", 2, "separation"): [5.0, -3.0, "x", float("inf"), None],
+    ("initial_data", 3): [{"profile": "random-band-limited", "modes": 3},
+                          {"profile": "random-band-limited", "modes": 0},
+                          {"profile": "random-band-limited", "modes": True},
+                          {"profile": "random-band-limited", "modes": 2.0}],
     ("solver", "dt"): [0.1, 0.2, 0, -0.05, 0.5, "x"],
     ("solver", "horizon"): [0.1, 0.01, 0, float("inf")],
     ("solver", "alpha"): [1.0, 0.25, 0, 1.5, "x"],
@@ -177,17 +200,22 @@ for _path, _mutations in DEFECTS:
     )
 
 
-def test_weak_norm_check_covers_every_species(tmp_path, monkeypatch):
+@pytest.mark.parametrize("weak_p", [2, 3])
+def test_weak_norm_check_covers_every_species(tmp_path, monkeypatch, weak_p):
     real_report = el.norm_report
 
     def inflated(*args, **kwargs):
         report = real_report(*args, **kwargs)
-        report.weak_norms[-1] = 2.0 * report.spacetime[(3, 2.0)]
+        report.weak_norms[-1] = 2.0 * report.spacetime[(3, float(weak_p))]
         return report
 
     monkeypatch.setattr(el, "norm_report", inflated)
-    man = run_scenario(_demo(), outdir=str(tmp_path / "run"))
-    assert man["violations"] == ["weak-L2 above strong for species 3"]
+    cfg = _demo()
+    cfg["reports"]["weak_p"] = weak_p  # norm_p is [2, "inf"]
+    man = run_scenario(cfg, outdir=str(tmp_path / "run"))
+    assert man["violations"] == [f"weak-L{weak_p} above strong for species 3"]
+    rows = (tmp_path / "run" / "norms.csv").read_text().splitlines()[1:]
+    assert sorted({row.split(",")[1] for row in rows}) == ["2.0", "inf"]
 
 
 def test_run_scenario_manifest(tmp_path):
@@ -224,11 +252,20 @@ def test_sweep(tmp_path):
     assert (tmp_path / "sw" / "sweep.csv").exists()
 
 
-def test_sweep_guards(tmp_path):
+def test_sweep_guards(tmp_path, monkeypatch):
     with pytest.raises(UnknownAxis):
         sweep(_demo(), "bogus", [1.0], outdir=str(tmp_path))
     with pytest.raises(EmptyValues):
         sweep(_demo(), "alpha", [], outdir=str(tmp_path))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_mild called before every sweep value was validated")
+
+    monkeypatch.setattr(cli_runner, "solve_mild", no_solve)
+    with pytest.raises(ConfigInvalid) as exc:
+        sweep(_demo(), "alpha", [0.5, 1.5], outdir=str(tmp_path / "sw"))
+    assert exc.value.messages == ["alpha=1.5: solver.alpha: must lie in (0, 1], got 1.5"]
+    assert not (tmp_path / "sw").exists()
 
 
 def test_verify_suites_and_determinism(tmp_path):

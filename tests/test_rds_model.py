@@ -3,6 +3,7 @@ import pytest
 
 from fracrd.errors import (
     DissipationViolated,
+    InvalidParameter,
     MissingMeta,
     ModelUnknown,
     NegativeStateBeyondTolerance,
@@ -141,3 +142,12 @@ def test_polynomial_model():
     f = eval_reactions(model, np.array([2.0, 3.0]))
     assert f.tolist() == [-6.0, -6.0]
     assert check_assumption(model, Assumption.M, count=100).passed
+    with pytest.raises(InvalidParameter, match="count"):
+        check_assumption(model, Assumption.M, count=0)
+    for terms in ([[(-1.0, (1, 1, 1))], [(-1.0, (1, 1))]],  # a power too many
+                  [[(-1.0, (1, 1))]],  # a species without a term list
+                  [[(-1.0, (1, -1))], [(-1.0, (1, 1))]],  # a negative power
+                  [[(-1.0, (1, 0.5))], [(-1.0, (1, 1))]]):  # a fractional power
+        with pytest.raises(InvalidParameter) as exc:
+            polynomial_model("pair", 2, (1.0, 1.0), terms)
+        assert exc.value.name == "terms"

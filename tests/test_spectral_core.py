@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,8 @@ from fracrd.errors import (
     NonFiniteInput,
     NotPowerOfTwo,
 )
+from fracrd.estimate_lab import maximal_reg_ratio
+from fracrd.mild_solver import phi_weights
 from fracrd.spectral_core import (
     Field,
     FracPower,
@@ -17,8 +21,10 @@ from fracrd.spectral_core import (
     frac_power,
     frac_power_quadrature,
     integral,
+    irfft,
     lp_norm,
     make_grid,
+    rfft,
 )
 
 
@@ -155,3 +161,43 @@ def test_norms_and_integral():
     assert integral(u) == pytest.approx(8.0, rel=1e-15)
     assert lp_norm(u, 2) == pytest.approx(2.0 * np.sqrt(4.0), rel=1e-15)
     assert lp_norm(u, np.inf) == 2.0
+
+
+@pytest.mark.parametrize("dims,n", [(1, 64), (2, 16), (3, 8)])
+def test_batched_transform_pair_equals_per_slice(dims, n):
+    g = make_grid(dims, 3.0, n)
+    u = np.random.default_rng(dims).standard_normal((4,) + g.shape)
+    uh = rfft(u, g)
+    assert np.array_equal(uh, np.stack([np.fft.rfftn(ui) for ui in u]))
+    back = irfft(uh, g)
+    assert np.array_equal(back, np.stack([np.fft.irfftn(h, s=g.shape, axes=range(dims)) for h in uh]))
+    assert np.allclose(back, u, atol=1e-13)
+
+
+def _maxreg_per_step(f, times, alpha, mu, g):
+    """maximal_reg_ratio written one time step and one transform at a time."""
+    dt = float(times[1] - times[0])
+    lam = g.wavenumbers_squared() ** alpha
+    E, phi1, phi2 = phi_weights(mu * dt * lam)
+    fhat = [np.fft.rfftn(fk) for fk in f]
+    uhat = np.zeros_like(fhat[0])
+    gsq = [0.0]
+    for k in range(len(times) - 1):
+        uhat = E * uhat + dt * ((phi1 - phi2) * fhat[k] + phi2 * fhat[k + 1])
+        gk = np.fft.irfftn(lam * uhat, s=g.shape, axes=range(g.dims))
+        gsq.append(g.cell_volume * np.sum(gk**2))
+    w = np.full(len(times), dt)
+    w[0] = w[-1] = 0.5 * dt
+    fsq = [g.cell_volume * np.sum(fk**2) for fk in f]
+    return math.sqrt(float(np.dot(w, gsq))) / math.sqrt(float(np.dot(w, fsq)))
+
+
+@pytest.mark.parametrize("dims,n", [(2, 16), (3, 8)])
+def test_maximal_reg_ratio_equals_per_step_loop(dims, n):
+    g = make_grid(dims, 2 * np.pi, n)
+    rng = np.random.default_rng(dims)
+    times = np.linspace(0.0, 2.0, 41)
+    f = np.exp(-times).reshape((-1,) + (1,) * dims) * rng.standard_normal(g.shape)
+    f += 0.1 * rng.standard_normal(f.shape)
+    for mu in (0.5, 2.0):
+        assert maximal_reg_ratio(f, times, 0.5, mu, g) == _maxreg_per_step(f, times, 0.5, mu, g)
