@@ -151,8 +151,8 @@ def _solver_config(cfg: dict) -> SolverConfig:
         dt=float(sol["dt"]),
         horizon=float(sol["horizon"]),
         alpha=float(sol.get("alpha", 0.5)),
-        dealias=bool(sol.get("dealias", True)),
-        store_every=int(sol.get("store_every", 1)),
+        dealias=sol.get("dealias", True),
+        store_every=sol.get("store_every", 1),
     )
 
 
@@ -309,9 +309,17 @@ def _resolve_outdir(explicit, default_name):
 # Inequality checks on random fields, shared by run and verify
 # ----------------------------------------------------------------------
 
+def _field_count(spec: dict) -> int:
+    """The "fields" of a report spec (default 20); raises unless an integer >= 1."""
+    fields = spec.get("fields", 20)
+    if type(fields) is not int or fields < 1:
+        raise InvalidParameter(f"must be an integer >= 1, got {fields!r}", "fields")
+    return fields
+
+
 def _sv_spec(sv: dict):
-    """(fields, ells, alphas) of reports.sv; raises unless every gap is defined."""
-    fields = int(sv.get("fields", 20))
+    """(fields, ells, alphas) of reports.sv; raises unless every gap is defined, fields >= 1."""
+    fields = _field_count(sv)
     ells, alphas = sv.get("ell", [2.0, 3.0, 4.0]), sv.get("alpha", [0.3, 0.5, 0.9])
     for ell in ells:
         for al in alphas:
@@ -321,9 +329,7 @@ def _sv_spec(sv: dict):
 
 def _gn_spec(gn: dict, dims: int):
     """(fields, alpha, q) of reports.gn; raises unless the ratio is defined, fields >= 1."""
-    fields = int(gn.get("fields", 20))
-    if fields < 1:
-        raise InvalidParameter(f"must be >= 1, got {fields}", "fields")
+    fields = _field_count(gn)
     el.check_gn(dims, float(gn["alpha"]), float(gn["q"]))
     return fields, gn["alpha"], gn["q"]
 
@@ -496,7 +502,8 @@ def sweep(cfg: dict, axis: str, values, outdir=None) -> list:
         path = _AXES[axis]
         for key in path[:-1]:
             node = node.setdefault(key, {})
-        node[path[-1]] = int(v) if axis == "points" else float(v)
+        # a non-integral point count passes through for make_grid to reject
+        node[path[-1]] = int(v) if axis == "points" and float(v).is_integer() else float(v)
         sub.pop("output_dir", None)
         try:
             validate_config(sub)

@@ -42,6 +42,10 @@ class SolverConfig:
             raise InvalidParameter(f"must lie in (0, horizon], got {self.dt!r}", "dt")
         if not 0.0 < self.alpha <= 1.0:
             raise InvalidParameter(f"must lie in (0, 1], got {self.alpha!r}", "alpha")
+        if not isinstance(self.dealias, bool):
+            raise InvalidParameter(f"must be a boolean, got {self.dealias!r}", "dealias")
+        if type(self.store_every) is not int or self.store_every < 1:
+            raise InvalidParameter(f"must be an integer >= 1, got {self.store_every!r}", "store_every")
 
 
 @dataclass
@@ -148,20 +152,16 @@ class _Stepper:
 def solve_mild(model: ReactionModel, u0, cfg: SolverConfig) -> Trajectory:
     """Advance the system on [0, horizon]; returns a (possibly truncated)
     Trajectory when the blow-up threshold is exceeded."""
-    u = np.stack([np.asarray(f.values if isinstance(f, Field) else f, dtype=float)
-                  for f in u0])
+    if not all(isinstance(f, Field) for f in u0) or len({f.grid for f in u0}) != 1:
+        raise InvalidParameter("u0 must be a nonempty sequence of Fields on one grid")
+    grid = u0[0].grid
+    u = np.stack([f.values for f in u0])
     if u.shape[0] != model.m:
         raise InvalidParameter(f"expected {model.m} species, got {u.shape[0]}")
     if not np.all(np.isfinite(u)):
         raise NonFiniteInput("initial data contains NaN/Inf")
     if np.min(u) < 0:
         raise NegativeInitialData(f"negative initial value {np.min(u):.3g}")
-
-    # recover the grid from the first Field, else require explicit grid
-    if isinstance(u0[0], Field):
-        grid = u0[0].grid
-    else:
-        raise TypeError("u0 must be a sequence of Fields")
 
     threshold = cfg.blowup_factor * max(
         sum(float(np.max(np.abs(ui))) for ui in u), 1e-300

@@ -48,7 +48,6 @@ class ReactionModel:
     rho: float | None = None
     nu: float | None = None
     growth_c: float | None = None
-    phi: object | None = None  # optional Field-valued forcing, constant in t
 
     def __post_init__(self):
         if len(self.d) != self.m:
@@ -105,19 +104,11 @@ def default_sampler(m: int, rng: np.random.Generator):
         yield u
 
 
-def _phi_floor(model: ReactionModel) -> float:
-    # the bounds hold for every x; the weakest point is the minimum of Phi
-    if model.phi is None:
-        return 0.0
-    return float(np.min(model.phi.values))
-
-
-def check_assumption(model, which: Assumption, sampler=None, count: int = 200, tol: float = 1e-9) -> AssumptionReport:
+def check_assumption(model, which: Assumption, count: int = 200, tol: float = 1e-9) -> AssumptionReport:
     """Sample states and hunt for violations of one structural assumption."""
     if count < 1:
         raise InvalidParameter(f"must be >= 1, got {count}", "count")
-    rng = np.random.default_rng(0)
-    gen = sampler if sampler is not None else default_sampler(model.m, rng)
+    gen = default_sampler(model.m, np.random.default_rng(0))
     if which in (Assumption.QUADRATIC, Assumption.POL) and model.growth_c is None:
         raise MissingMeta(f"{which.value} check requires a declared constant C")
     if which == Assumption.ISC:
@@ -126,11 +117,9 @@ def check_assumption(model, which: Assumption, sampler=None, count: int = 200, t
     if which == Assumption.POL and model.nu is None:
         raise MissingMeta("Pol check requires the exponent nu")
 
-    phi0 = _phi_floor(model)
     report = AssumptionReport(assumption=which, samples_tested=0)
-    it = iter(gen)
     for _ in range(count):
-        u = np.asarray(next(it), dtype=float)
+        u = np.asarray(next(gen), dtype=float)
         report.samples_tested += 1
         scale = max(float(np.max(u)), 1.0)
 
@@ -159,7 +148,7 @@ def check_assumption(model, which: Assumption, sampler=None, count: int = 200, t
             f = eval_reactions(model, u)
             c = model.growth_c if model.growth_c is not None else 1.0
             mag = float(np.linalg.norm(u))
-            bound = c * (phi0 + mag**model.rho)
+            bound = c * mag**model.rho
             for i in range(model.m - 1):
                 comb = float(np.dot(model.isc_matrix[i, : i + 1], f[: i + 1]))
                 if comb > bound + tol * max(scale**model.rho, 1.0):
@@ -167,7 +156,7 @@ def check_assumption(model, which: Assumption, sampler=None, count: int = 200, t
         elif which == Assumption.POL:
             f = eval_reactions(model, u)
             mag = float(np.linalg.norm(u))
-            bound = model.growth_c * (phi0 + mag**model.nu)
+            bound = model.growth_c * mag**model.nu
             worst = float(np.max(f))
             if worst > bound + tol * max(scale**model.nu, 1.0):
                 report.violations.append((u.tolist(), worst))
@@ -197,7 +186,6 @@ def conservative_lift(model: ReactionModel, count: int = 200) -> ReactionModel:
         d=tuple(model.d) + (1.0,),
         f=lifted,
         growth_c=model.growth_c,
-        phi=model.phi,
     )
 
 

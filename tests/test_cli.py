@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from fracrd import cli_runner
 from fracrd import estimate_lab as el
 from fracrd.cli_runner import (
-    SUITES,
     load_config,
     main,
     run_scenario,
-    run_verify,
     sweep,
     validate_config,
 )
@@ -84,6 +82,14 @@ DEFECTS = [
                      (("diffusivities",), [1.0, 1.0]), (("initial_data",), PAIR_DATA)]),
     ("model.terms", [(("model",), dict(PAIR, terms=[[[-1.0, [1, 1]]]])),
                      (("diffusivities",), [1.0, 1.0]), (("initial_data",), PAIR_DATA)]),
+    # values that used to be silently misread
+    ("solver.dealias", [(("solver", "dealias"), "no")]),
+    ("solver.store_every", [(("solver", "store_every"), 0)]),
+    ("solver.store_every", [(("solver", "store_every"), -3)]),
+    ("solver.store_every", [(("solver", "store_every"), 2.5)]),
+    ("solver.store_every", [(("solver", "store_every"), True)]),
+    ("reports.sv.fields", [(("reports", "sv", "fields"), 0)]),
+    ("reports.gn.fields", [(("reports", "gn", "fields"), 2.7)]),
 ]
 
 # Every field validate_config owns, each with valid and invalid values.
@@ -113,16 +119,17 @@ FIELDS = {
     ("solver", "dt"): [0.1, 0.2, 0, -0.05, 0.5, "x"],
     ("solver", "horizon"): [0.1, 0.01, 0, float("inf")],
     ("solver", "alpha"): [1.0, 0.25, 0, 1.5, "x"],
-    ("solver", "store_every"): [3, "x"],
+    ("solver", "dealias"): [False, True, "no", 1, None],
+    ("solver", "store_every"): [3, "x", 0, -3, 2.5, True],
     ("reports", "norm_p"): [[1, "inf"], [0.5], ["x"], 3],
     ("reports", "weak_p"): [1, 0, "2", None],
     ("reports", "holder_gamma"): [[0.25, 0.75], [1.5], [0], ["x"], 0.5],
     ("reports", "sv", "ell"): [[2, 4], [1], ["x"]],
     ("reports", "sv", "alpha"): [[0.3, 1.0], [1.5], [0]],
-    ("reports", "sv", "fields"): [0, 2, "x"],
+    ("reports", "sv", "fields"): [0, 2, "x", 2.7, True],
     ("reports", "gn", "q"): [3.0, 2.0, 10.0, "x"],
     ("reports", "gn", "alpha"): [0.9, 3.0, 0],
-    ("reports", "gn", "fields"): [1, 0, "x"],
+    ("reports", "gn", "fields"): [1, 0, "x", 2.7],
     ("reports", "ladder", "rho"): [1.2, 2.5, 0.5, "x"],
     ("reports", "ladder", "p0"): [3.0, 1.0],
     ("reports", "ladder", "eps_star"): [0.5, -1.0],
@@ -265,15 +272,20 @@ def test_sweep_guards(tmp_path, monkeypatch):
     with pytest.raises(ConfigInvalid) as exc:
         sweep(_demo(), "alpha", [0.5, 1.5], outdir=str(tmp_path / "sw"))
     assert exc.value.messages == ["alpha=1.5: solver.alpha: must lie in (0, 1], got 1.5"]
+    with pytest.raises(ConfigInvalid) as exc:
+        sweep(_demo(), "points", [16.0, 16.5], outdir=str(tmp_path / "sw"))
+    assert exc.value.messages == [
+        "points=16.5: grid.points: must be a power of two >= 8, got 16.5"]
     assert not (tmp_path / "sw").exists()
 
 
-def test_verify_suites_and_determinism(tmp_path):
-    names = sorted(SUITES)
-    m1 = run_verify(names, outdir=str(tmp_path / "v1"), seed=0)
-    m2 = run_verify(names, outdir=str(tmp_path / "v2"), seed=0)
-    assert m1["passed"] and m2["passed"]
-    assert m1["files"] == m2["files"]
+def test_unwritable_output_exits_1(tmp_path, capsys):
+    cfg_path = tmp_path / "demo.json"
+    cfg_path.write_text(json.dumps(_tiny()))
+    capsys.readouterr()
+    assert main(["run", str(cfg_path), "--out", str(cfg_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write to {cfg_path / 'out'}") and err.count("\n") == 1
 
 
 def test_main_exit_codes(tmp_path, capsys):

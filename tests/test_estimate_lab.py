@@ -15,7 +15,9 @@ from fracrd.errors import (
     ZeroField,
 )
 from fracrd.estimate_lab import (
+    WEAK_NORM_LEVELS,
     VDiagnostics,
+    _time_weights,
     accumulate_v,
     duality_ladder,
     gn_ratio,
@@ -29,7 +31,7 @@ from fracrd.estimate_lab import (
     stroock_varopoulos_gap,
 )
 from fracrd.mild_solver import SolverConfig, Trajectory, solve_mild
-from fracrd.rds_model import bimolecular
+from fracrd.rds_model import ReactionModel, bimolecular
 from fracrd.spectral_core import Field, make_grid
 
 
@@ -229,6 +231,48 @@ def test_weak_below_strong_random():
     traj.step_diagnostics = [_diag(g, s) for s in traj.states]
     rep = norm_report(traj, [2.0, 3.0], weak_p=2.0)
     assert rep.weak_norms[0] <= rep.spacetime[(0, 2.0)] * (1 + 1e-12)
+
+
+def _norm_report_per_state(traj, p_list, weak_p):
+    """(spacetime, weak_norms) of norm_report with one reduction per (p, level, state)."""
+    vol = traj.grid.cell_volume
+    m = traj.states[0].shape[0]
+    w = _time_weights(traj.times)
+    spacetime = {}
+    for p in p_list:
+        for i in range(m):
+            if math.isinf(p):
+                val = max(float(np.max(np.abs(s[i]))) for s in traj.states)
+            else:
+                acc = sum(wk * vol * float(np.sum(np.abs(s[i]) ** p)) for wk, s in zip(w, traj.states))
+                val = acc ** (1.0 / p)
+            spacetime[(i, p)] = val
+    weak_norms = []
+    for i in range(m):
+        sup = max(float(np.max(np.abs(s[i]))) for s in traj.states)
+        if sup == 0.0:
+            weak_norms.append(0.0)
+            continue
+        best = 0.0
+        for lam in np.geomspace(1e-6 * sup, sup, WEAK_NORM_LEVELS):
+            meas = sum(wk * vol * float(np.sum(np.abs(s[i]) >= lam)) for wk, s in zip(w, traj.states))
+            best = max(best, lam * meas ** (1.0 / weak_p))
+        weak_norms.append(best)
+    return spacetime, weak_norms
+
+
+def test_norm_report_equals_per_state_loop():
+    g = make_grid(1, 10.0, 32)
+    x = g.coord_arrays()[0]
+    frozen = ReactionModel("frozen", 3, (1.0, 1.0, 0.5), lambda u, t: 0.0 * u)
+    u0 = [Field(g, np.exp(-x**2)), Field(g, np.zeros(g.shape)), Field(g, 1.0 + np.cos(x))]
+    traj = solve_mild(frozen, u0, SolverConfig(dt=0.05, horizon=1.0, store_every=3))
+    p_list = [1.5, 2.0, math.inf]
+    rep = norm_report(traj, p_list, weak_p=2.5)
+    spacetime, weak_norms = _norm_report_per_state(traj, p_list, 2.5)
+    assert list(rep.spacetime.items()) == list(spacetime.items())
+    assert [type(v) for v in rep.spacetime.values()] == [type(v) for v in spacetime.values()]
+    assert rep.weak_norms == weak_norms and weak_norms[1] == 0.0
 
 
 def test_ladder_worked_examples():

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fracrd.errors import NegativeInitialData, NonFiniteInput
+from fracrd.errors import InvalidParameter, NegativeInitialData, NonFiniteInput, PicardDivergence
 from fracrd.heat_kernel import KernelSpec, semigroup_apply
 from fracrd.mild_solver import (
+    MAX_HALVINGS,
     SolverConfig,
     detect_blowup,
     load_checkpoint,
@@ -99,6 +100,28 @@ def test_input_guards():
         SolverConfig(dt=1.0, horizon=0.5)
     with pytest.raises(ValueError):
         solve_mild(model, neg[:1], SolverConfig(dt=0.1, horizon=0.2))
+    g16 = make_grid(1, 10.0, 16)
+    for u0 in (
+        [np.full(g.shape, 1.0)] * 2,  # raw arrays
+        [neg[0], Field(g16, np.full(g16.shape, 1.0))],  # two shapes
+        [neg[0], Field(make_grid(1, 20.0, 8), np.full(g.shape, 1.0))],  # two extents
+    ):
+        with pytest.raises(InvalidParameter, match="Fields on one grid"):
+            solve_mild(model, u0, SolverConfig(dt=0.1, horizon=0.2))
+
+
+def test_picard_divergence_after_max_halvings():
+    g = make_grid(1, 10.0, 8)
+    calls = []
+
+    def nan_rates(u, t):
+        calls.append(t)
+        return np.full(u.shape, np.nan)
+
+    model = ReactionModel("nan", 1, (1.0,), nan_rates)
+    with pytest.raises(PicardDivergence, match="non-finite iterate"):
+        solve_mild(model, [Field(g, np.full(g.shape, 1.0))], SolverConfig(dt=0.1, horizon=0.2))
+    assert len(calls) == 2 * (MAX_HALVINGS + 1)  # predictor and one Picard iterate per try
 
 
 def test_dt_refinement_improves_terminal_state():

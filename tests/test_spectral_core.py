@@ -192,7 +192,7 @@ def _maxreg_per_step(f, times, alpha, mu, g):
     return math.sqrt(float(np.dot(w, gsq))) / math.sqrt(float(np.dot(w, fsq)))
 
 
-@pytest.mark.parametrize("dims,n", [(2, 16), (3, 8)])
+@pytest.mark.parametrize("dims,n", [(1, 64), (2, 16), (3, 8)])
 def test_maximal_reg_ratio_equals_per_step_loop(dims, n):
     g = make_grid(dims, 2 * np.pi, n)
     rng = np.random.default_rng(dims)
