@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fracrd.cli_runner import make_profile
 from fracrd.errors import InvalidParameter, NegativeInitialData, NonFiniteInput, PicardDivergence
 from fracrd.heat_kernel import KernelSpec, semigroup_apply
 from fracrd.mild_solver import (
@@ -135,6 +136,35 @@ def test_dt_refinement_improves_terminal_state():
                                        store_every=1000))
         errs.append(abs(float(traj.states[-1][0][0]) - exact))
     assert errs[0] > errs[1] > errs[2]
+
+
+# README scenario (bimolecular, four species) on its own 64-point grid
+README_DATA = [
+    {"profile": "gaussian-bump", "amplitude": 1.0, "width": 2.0, "floor": 0.05},
+    {"profile": "gaussian-bump", "amplitude": 0.3, "width": 2.0, "floor": 0.05},
+    {"profile": "two-bumps", "amplitude": 0.8, "width": 2.0, "floor": 0.05},
+    {"profile": "constant", "amplitude": 0.2},
+]
+README_D = (1.0, 0.7, 1.3, 0.9)
+SELFCONV_ERR_002 = 2.9084598780417093e-06  # dt = 0.02 error of the exponential-Euler-predicted solver
+
+
+def test_self_convergence_on_readme_scenario():
+    # the coupled nonlinear solve the run workloads make: second order in dt,
+    # and no larger an error constant than the solver this value was taken from
+    g = make_grid(1, 40.0, 64)
+    model = bimolecular().with_diffusivities(README_D)
+    u0 = [make_profile(g, spec, None) for spec in README_DATA]
+
+    def final(dt):
+        cfg = SolverConfig(dt=dt, horizon=1.0, alpha=0.5, store_every=10**6)
+        return solve_mild(model, u0, cfg).states[-1]
+
+    ref = final(0.02 / 16)
+    e002, e001 = (float(np.max(np.abs(final(dt) - ref)) / np.max(np.abs(ref)))
+                  for dt in (0.02, 0.01))
+    assert 1.9 <= math.log2(e002 / e001) <= 2.1
+    assert e002 <= 1.1 * SELFCONV_ERR_002
 
 
 def test_classical_heat_one_step_consistency():
