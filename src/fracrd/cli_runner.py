@@ -45,6 +45,8 @@ PROFILES = ("gaussian-bump", "two-bumps", "constant", "random-band-limited")
 # ----------------------------------------------------------------------
 
 def _as_float(x):
+    if isinstance(x, bool):
+        raise TypeError(f"not a number: {x!r}")
     if isinstance(x, str) and x.lower() in ("inf", "infinity"):
         return math.inf
     return float(x)
@@ -97,7 +99,7 @@ def validate_config(cfg: dict) -> dict:
 
     if cfg.get("schema_version") != SCHEMA_VERSION:
         msgs.append(f"schema_version: expected {SCHEMA_VERSION}")
-    if not (isinstance(cfg.get("seed", 0), int) and cfg.get("seed", 0) >= 0):
+    if not (type(cfg.get("seed", 0)) is int and cfg.get("seed", 0) >= 0):
         msgs.append(f"seed: must be a nonnegative integer, got {cfg.get('seed')!r}")
 
     grid = check("grid", _grid, cfg)
@@ -124,7 +126,7 @@ def validate_config(cfg: dict) -> dict:
         except (TypeError, ValueError):
             msgs.append(f"reports.norm_p: bad exponent {p!r}")
     weak_p = rep.get("weak_p")
-    if weak_p is not None and not (isinstance(weak_p, (int, float)) and weak_p >= 1):
+    if weak_p is not None and not (_real(weak_p) and weak_p >= 1):
         msgs.append(f"reports.weak_p: must be a real >= 1, got {weak_p!r}")
     for gamma in check("reports.holder_gamma", list, rep.get("holder_gamma", [])) or []:
         check("reports.holder_gamma", el.check_holder_gamma, gamma)
@@ -197,8 +199,12 @@ def _bump(grid, center, width):
     return np.exp(-r2 / (2.0 * width**2))
 
 
+def _real(x) -> bool:
+    return not isinstance(x, bool) and isinstance(x, (int, float))
+
+
 def _finite_real(x) -> bool:
-    return not isinstance(x, bool) and isinstance(x, (int, float)) and math.isfinite(x)
+    return _real(x) and math.isfinite(x)
 
 
 def _check_profile(spec, dims):

@@ -218,18 +218,19 @@ def detect_blowup(traj: Trajectory, threshold: float):
 # ----------------------------------------------------------------------
 
 def save_checkpoint(path, grid: Grid, time: float, state: np.ndarray):
-    state = np.asarray(state)
+    state = np.asarray(state, dtype=float)
+    m = state.shape[0]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["dims", grid.dims])
         w.writerow(["points_per_axis", grid.points_per_axis])
         w.writerow(["extent", repr(grid.extent)])
         w.writerow(["time", repr(float(time))])
-        w.writerow(["species", state.shape[0]])
-        w.writerow([f"u{i}" for i in range(state.shape[0])])
-        flat = state.reshape(state.shape[0], -1)
-        for row in flat.T:
-            w.writerow([repr(float(x)) for x in row])
+        w.writerow(["species", m])
+        w.writerow([f"u{i}" for i in range(m)])
+        # one row per grid point, the bytes csv.writer writes for these reprs
+        rows = state.reshape(m, -1).T.tolist()
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def load_checkpoint(path):
@@ -241,7 +242,7 @@ def load_checkpoint(path):
         time = float(next(r)[1])
         m = int(next(r)[1])
         next(r)  # column header
-        data = np.array([[float(x) for x in row] for row in r])
+        data = np.array([list(map(float, line.split(","))) for line in fh])
     grid = make_grid(dims, extent, n)
     state = data.T.reshape((m,) + grid.shape)
     return grid, time, state

@@ -90,12 +90,16 @@ DEFECTS = [
     ("solver.store_every", [(("solver", "store_every"), True)]),
     ("reports.sv.fields", [(("reports", "sv", "fields"), 0)]),
     ("reports.gn.fields", [(("reports", "gn", "fields"), 2.7)]),
+    # JSON true read as 1
+    ("seed", [(("seed",), True)]),
+    ("reports.weak_p", [(("reports", "weak_p"), True)]),
+    ("reports.norm_p", [(("reports", "norm_p"), [2, True])]),
 ]
 
 # Every field validate_config owns, each with valid and invalid values.
 FIELDS = {
     ("schema_version",): [1, 2],
-    ("seed",): [0, 7, -1, 1.5, "0"],
+    ("seed",): [0, 7, -1, 1.5, "0", True],
     ("grid", "dims"): [1, 2, 0, 4, 1.0],
     ("grid", "points"): [8, 32, 10, 4, 8.0, None],
     ("grid", "extent"): [10.0, 40, 0, -1.0, "wide", float("nan")],
@@ -121,8 +125,8 @@ FIELDS = {
     ("solver", "alpha"): [1.0, 0.25, 0, 1.5, "x"],
     ("solver", "dealias"): [False, True, "no", 1, None],
     ("solver", "store_every"): [3, "x", 0, -3, 2.5, True],
-    ("reports", "norm_p"): [[1, "inf"], [0.5], ["x"], 3],
-    ("reports", "weak_p"): [1, 0, "2", None],
+    ("reports", "norm_p"): [[1, "inf"], [0.5], ["x"], 3, [True]],
+    ("reports", "weak_p"): [1, 0, "2", None, True],
     ("reports", "holder_gamma"): [[0.25, 0.75], [1.5], [0], ["x"], 0.5],
     ("reports", "sv", "ell"): [[2, 4], [1], ["x"]],
     ("reports", "sv", "alpha"): [[0.3, 1.0], [1.5], [0]],

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -205,6 +206,34 @@ def test_checkpoint_roundtrip(tmp_path):
     g2, t2, state2 = load_checkpoint(path)
     assert g2 == g and t2 == traj.times[-1]
     assert np.array_equal(state2, traj.states[-1])
+
+
+def _csv_module_checkpoint(path, grid, time, state):
+    # the csv.writer checkpoint writer that save_checkpoint's byte format follows
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["dims", grid.dims])
+        w.writerow(["points_per_axis", grid.points_per_axis])
+        w.writerow(["extent", repr(grid.extent)])
+        w.writerow(["time", repr(float(time))])
+        w.writerow(["species", state.shape[0]])
+        w.writerow([f"u{i}" for i in range(state.shape[0])])
+        for row in state.reshape(state.shape[0], -1).T:
+            w.writerow([repr(float(x)) for x in row])
+
+
+@pytest.mark.parametrize("dims,points", [(1, 64), (2, 16)])
+def test_checkpoint_bytes_match_csv_module(tmp_path, dims, points):
+    g = make_grid(dims, 40.0, points)
+    rng = np.random.default_rng(dims)
+    state = rng.standard_normal((3,) + g.shape) * 10.0 ** rng.integers(-300, 300, (3,) + g.shape)
+    state.flat[:3] = (0.0, -0.0, 1e-320)
+    save_checkpoint(tmp_path / "new.csv", g, 0.1 + 0.2, state)
+    _csv_module_checkpoint(tmp_path / "ref.csv", g, 0.1 + 0.2, state)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    g2, t2, state2 = load_checkpoint(tmp_path / "new.csv")
+    assert g2 == g and t2 == 0.1 + 0.2
+    assert np.array_equal(state2, state)
 
 
 def test_store_every_thinning():
