@@ -276,8 +276,8 @@ def random_band_limited(grid, rng, modes: int = 8) -> Field:
 # ----------------------------------------------------------------------
 
 def _fmt(x):
-    if isinstance(x, float):
-        return repr(x)
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))  # numpy 2's repr of its scalars reads np.float64(...)
     return str(x)
 
 

@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 
 import pytest
@@ -236,6 +237,31 @@ def test_run_scenario_manifest(tmp_path):
         assert (tmp_path / "run" / name).exists()
         assert len(digest) == 64
     assert (tmp_path / "run" / "manifest.json").exists()
+
+
+# cells of the run reports that are labels, not numbers
+REPORT_LABELS = {"inf", "max", "True", "False", "dims", "points_per_axis", "extent", "time",
+                 "species", "u0", "u1", "u2", "u3"}
+
+
+def _is_number(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def test_report_cells_are_numbers_or_labels(tmp_path):
+    man = run_scenario(_tiny(), outdir=str(tmp_path))
+    csvs = [name for name in man["files"] if name.endswith(".csv")]
+    assert "norms.csv" in csvs and "final_state.csv" in csvs
+    for name in csvs:
+        with open(tmp_path / name, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        labels = REPORT_LABELS | set(header)
+        bad = [cell for row in rows for cell in row if cell not in labels and not _is_number(cell)]
+        assert not bad, (name, bad[:3])
 
 
 def test_run_determinism(tmp_path):
