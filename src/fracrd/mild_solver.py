@@ -5,8 +5,17 @@ exponential (phi1/phi2) trapezoidal rule: the diffusion semigroup is applied
 exactly as a Fourier multiplier, and the Duhamel integral of the reaction
 term is approximated by its exponential trapezoidal weights, which is exact
 for forcings linear in time.  The fixed point of the resulting map is found
-by Picard iteration in the relative sup norm; a diverging window is retried
-with a halved step.
+by Picard iteration in the relative sup norm.
+
+The iteration starts from the ETD2 extrapolation (Cox & Matthews 2002), the
+same window with the end-of-window rate extrapolated linearly from this and
+the previous window's start-of-window rates, when the previous window had
+the same dt; otherwise from exponential Euler.  A window whose residual
+stops falling (from the third iteration on), turns non-finite or has not
+converged after PICARD_MAX iterations is rejected and retried with a halved
+step.  After REGROW_AFTER straight windows of at most REGROW_ITERS
+iterations dt doubles again, up to the configured dt.  MAX_HALVINGS bounds
+the depth: dt never falls below cfg.dt / 2**MAX_HALVINGS.
 """
 
 from __future__ import annotations
@@ -23,7 +32,9 @@ from .spectral_core import Field, Grid, irfft, make_grid, rfft
 
 PICARD_TOL = 1e-10  # relative sup-norm change that ends a window's iteration
 PICARD_MAX = 50  # iterations before a window is rejected
-MAX_HALVINGS = 45  # rejected windows (each halving dt) before solve_mild gives up
+MAX_HALVINGS = 45  # halvings below cfg.dt; a rejection at this depth ends solve_mild
+REGROW_AFTER = 8  # straight accepted windows of at most REGROW_ITERS iterations
+REGROW_ITERS = 4  # ... after which dt doubles (up to cfg.dt)
 
 
 @dataclass(frozen=True)
@@ -122,15 +133,20 @@ class _Stepper:
             fhat *= self.mask
         return fhat
 
-    def step(self, u: np.ndarray, t: float, dt: float):
-        """One Duhamel window; returns (u_next, iterations, residual)."""
+    def step(self, u: np.ndarray, t: float, dt: float, fhat_prev=None):
+        """One Duhamel window; returns (u_next, iterations, residual, fhat_n),
+        fhat_n the start-of-window rate transform.  fhat_prev, the previous
+        window's, selects the ETD2 predictor; it must come from a window of
+        the same dt."""
         E, phi1, phi2 = self.weights(dt)
         uhat = rfft(u, self.grid)
         fhat_n = self._rates_hat(u, t)
         base = E * uhat + dt * (phi1 - phi2) * fhat_n
 
-        # exponential-Euler predictor
-        w = irfft(E * uhat + dt * phi1 * fhat_n, self.grid)
+        if fhat_prev is None:  # exponential Euler
+            w = irfft(E * uhat + dt * phi1 * fhat_n, self.grid)
+        else:  # ETD2: the end-of-window rate extrapolated from the last two starts
+            w = irfft(base + dt * phi2 * (2.0 * fhat_n - fhat_prev), self.grid)
         scale = max(float(np.max(np.abs(u))), 1e-300)
         prev_res = np.inf
         for it in range(1, PICARD_MAX + 1):
@@ -141,7 +157,12 @@ class _Stepper:
             res = float(np.max(np.abs(w_new - w))) / max(scale, float(np.max(np.abs(w_new))))
             w = w_new
             if res < PICARD_TOL:
-                return w, it, res
+                return w, it, res, fhat_n
+            if it >= 3 and res >= prev_res:
+                raise PicardDivergence(
+                    f"residual stopped falling at iteration {it} ({prev_res:.3g} -> {res:.3g}) "
+                    f"at t={t:.6g}, dt={dt:.3g}"
+                )
             prev_res = res
         raise PicardDivergence(
             f"no contraction to {PICARD_TOL:.1e} within {PICARD_MAX} iterations at "
@@ -175,20 +196,27 @@ def solve_mild(model: ReactionModel, u0, cfg: SolverConfig) -> Trajectory:
     traj.step_diagnostics.append(_diag(grid, u))
 
     t = 0.0
-    dt_cur = cfg.dt
-    halvings = 0
+    depth = 0  # halvings of cfg.dt in force
+    calm = 0  # straight accepted windows of at most REGROW_ITERS iterations
+    dt_prev = fhat_prev = None  # the last accepted window's dt and start rate
     steps_since_store = 0
     eps = 1e-12 * cfg.horizon
     while t < cfg.horizon - eps:
-        dt_step = min(dt_cur, cfg.horizon - t)
+        dt_step = min(cfg.dt / 2.0**depth, cfg.horizon - t)
         try:
-            u_next, iters, res = stepper.step(u, t, dt_step)
+            u_next, iters, res, fhat_n = stepper.step(
+                u, t, dt_step, fhat_prev if dt_step == dt_prev else None)
         except PicardDivergence:
-            if halvings >= MAX_HALVINGS:
+            if depth >= MAX_HALVINGS:
                 raise
-            dt_cur /= 2.0
-            halvings += 1
+            depth += 1
+            calm = 0
             continue
+        dt_prev, fhat_prev = dt_step, fhat_n
+        calm = calm + 1 if iters <= REGROW_ITERS else 0
+        if calm >= REGROW_AFTER and depth > 0:
+            depth -= 1
+            calm = 0
         t += dt_step
         u = u_next
         d = _diag(grid, u, iters, res)

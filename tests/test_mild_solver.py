@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from fracrd.errors import InvalidParameter, NegativeInitialData, NonFiniteInput,
 from fracrd.heat_kernel import KernelSpec, semigroup_apply
 from fracrd.mild_solver import (
     MAX_HALVINGS,
+    REGROW_AFTER,
     SolverConfig,
     detect_blowup,
     load_checkpoint,
@@ -24,6 +26,17 @@ def _bump_fields(g, amps, floor=0.05, width=2.0):
     r = np.minimum(np.abs(x), g.extent - np.abs(x))
     bump = np.exp(-(r / width) ** 2)
     return [Field(g, a * bump + floor) for a in amps]
+
+
+# README scenario (bimolecular, four species) on its own 64-point grid
+README_DATA = [
+    {"profile": "gaussian-bump", "amplitude": 1.0, "width": 2.0, "floor": 0.05},
+    {"profile": "gaussian-bump", "amplitude": 0.3, "width": 2.0, "floor": 0.05},
+    {"profile": "two-bumps", "amplitude": 0.8, "width": 2.0, "floor": 0.05},
+    {"profile": "constant", "amplitude": 0.2},
+]
+README_D = (1.0, 0.7, 1.3, 0.9)
+SELFCONV_ERR_002 = 2.9084598780417093e-06  # dt = 0.02 error of the exponential-Euler-predicted solver
 
 
 def test_pure_diffusion_matches_semigroup():
@@ -126,6 +139,70 @@ def test_picard_divergence_after_max_halvings():
     assert len(calls) == 2 * (MAX_HALVINGS + 1)  # predictor and one Picard iterate per try
 
 
+def _stalling_first_window():
+    """Zero rates, except on the first try of the first window, where the rate
+    flips sign on every call and the Picard iterates cycle between two states.
+    Returns the model and the times of the rate calls on that try."""
+    stalled = []
+
+    def rates(u, t):
+        if t == 0.0 and stalled:  # the retry
+            stalled.append(None)
+        if stalled and stalled[-1] is None:
+            return np.zeros(u.shape)
+        stalled.append(t)
+        return np.full(u.shape, (-1.0) ** len(stalled))
+
+    return ReactionModel("stall", 1, (1.0,), rates), stalled
+
+
+def test_stalled_window_rejected_early():
+    g = make_grid(1, 10.0, 8)
+    model, stalled = _stalling_first_window()
+    solve_mild(model, [Field(g, np.full(g.shape, 10.0))], SolverConfig(dt=0.1, horizon=0.2))
+    # start-of-window rate, then three iterates of a constant residual, not PICARD_MAX
+    assert stalled == [0.0, 0.1, 0.1, 0.1, None]
+
+
+def test_dt_regrows_after_forced_halving():
+    g = make_grid(1, 10.0, 8)
+    model, _ = _stalling_first_window()
+    cfg = SolverConfig(dt=0.1, horizon=2.0)
+    traj = solve_mild(model, [Field(g, np.full(g.shape, 10.0))], cfg)
+    steps = np.diff(traj.step_times)
+    expected = np.where(np.arange(len(steps)) < REGROW_AFTER, cfg.dt / 2, cfg.dt)
+    assert steps == pytest.approx(expected)
+    assert traj.step_times[-1] == pytest.approx(2.0)
+
+
+def test_max_halvings_bounds_depth_not_rejection_count():
+    # a rejected try in every ten, each recovered from, then only rejected tries
+    g = make_grid(1, 10.0, 8)
+    calls = []
+
+    def rates(u, t):
+        calls.append(t)
+        fail = len(calls) % 20 == 0 or len(calls) > 2000
+        return np.full(u.shape, np.nan if fail else 0.0)
+
+    cfg = SolverConfig(dt=0.01, horizon=100.0)
+    with pytest.raises(PicardDivergence, match=f"dt={cfg.dt / 2**MAX_HALVINGS:.3g}$"):
+        solve_mild(ReactionModel("nan", 1, (1.0,), rates), [Field(g, np.full(g.shape, 1.0))], cfg)
+    assert 2000 < len(calls) <= 2000 + 2 * (MAX_HALVINGS + 1)  # two rate calls per try
+
+
+def test_stiff_scenario_at_large_dt_raises_no_warning():
+    # the README scenario with amplitudes x50: at dt 0.04 the first window diverges
+    g = make_grid(1, 40.0, 256)
+    model = bimolecular().with_diffusivities(README_D)
+    stiff = [dict(spec, amplitude=50.0 * spec["amplitude"]) for spec in README_DATA]
+    u0 = [make_profile(g, spec, None) for spec in stiff]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        traj = solve_mild(model, u0, SolverConfig(dt=0.04, horizon=2.0, alpha=0.5))
+    assert traj.step_times[-1] == pytest.approx(2.0)
+
+
 def test_dt_refinement_improves_terminal_state():
     g = make_grid(1, 10.0, 8)
     u0 = [Field(g, np.full(g.shape, c)) for c in (1.0, 0.0, 1.0, 0.0)]
@@ -137,17 +214,6 @@ def test_dt_refinement_improves_terminal_state():
                                        store_every=1000))
         errs.append(abs(float(traj.states[-1][0][0]) - exact))
     assert errs[0] > errs[1] > errs[2]
-
-
-# README scenario (bimolecular, four species) on its own 64-point grid
-README_DATA = [
-    {"profile": "gaussian-bump", "amplitude": 1.0, "width": 2.0, "floor": 0.05},
-    {"profile": "gaussian-bump", "amplitude": 0.3, "width": 2.0, "floor": 0.05},
-    {"profile": "two-bumps", "amplitude": 0.8, "width": 2.0, "floor": 0.05},
-    {"profile": "constant", "amplitude": 0.2},
-]
-README_D = (1.0, 0.7, 1.3, 0.9)
-SELFCONV_ERR_002 = 2.9084598780417093e-06  # dt = 0.02 error of the exponential-Euler-predicted solver
 
 
 def test_self_convergence_on_readme_scenario():
