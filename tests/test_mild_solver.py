@@ -142,26 +142,24 @@ def test_picard_divergence_after_max_halvings():
 def _stalling_first_window():
     """Zero rates, except on the first try of the first window, where the rate
     flips sign on every call and the Picard iterates cycle between two states.
-    Returns the model and the times of the rate calls on that try."""
-    stalled = []
+    Returns the model and the times of its rate calls."""
+    calls = []
 
     def rates(u, t):
-        if t == 0.0 and stalled:  # the retry
-            stalled.append(None)
-        if stalled and stalled[-1] is None:
+        calls.append(t)
+        if calls.count(0.0) > 1:  # from the first window's retry on
             return np.zeros(u.shape)
-        stalled.append(t)
-        return np.full(u.shape, (-1.0) ** len(stalled))
+        return np.full(u.shape, (-1.0) ** len(calls))
 
-    return ReactionModel("stall", 1, (1.0,), rates), stalled
+    return ReactionModel("stall", 1, (1.0,), rates), calls
 
 
 def test_stalled_window_rejected_early():
     g = make_grid(1, 10.0, 8)
-    model, stalled = _stalling_first_window()
+    model, calls = _stalling_first_window()
     solve_mild(model, [Field(g, np.full(g.shape, 10.0))], SolverConfig(dt=0.1, horizon=0.2))
-    # start-of-window rate, then three iterates of a constant residual, not PICARD_MAX
-    assert stalled == [0.0, 0.1, 0.1, 0.1, None]
+    # start-of-window rate, three iterates of a constant residual (not PICARD_MAX), retry
+    assert calls[:5] == [0.0, 0.1, 0.1, 0.1, 0.0]
 
 
 def test_dt_regrows_after_forced_halving():
@@ -232,6 +230,16 @@ def test_self_convergence_on_readme_scenario():
                   for dt in (0.02, 0.01))
     assert 1.9 <= math.log2(e002 / e001) <= 2.1
     assert e002 <= 1.1 * SELFCONV_ERR_002
+
+
+def test_etd2_predictor_saves_picard_iterations():
+    # every window of this run takes 4 iterations from an exponential-Euler start
+    g = make_grid(1, 40.0, 64)
+    model = bimolecular().with_diffusivities(README_D)
+    u0 = [make_profile(g, spec, None) for spec in README_DATA]
+    traj = solve_mild(model, u0, SolverConfig(dt=0.01, horizon=1.0, alpha=0.5))
+    iters = [d.picard_iterations for d in traj.step_diagnostics[1:]]
+    assert len(iters) == 100 and np.mean(iters) < 3.5
 
 
 def test_classical_heat_one_step_consistency():
