@@ -42,15 +42,13 @@ class VDiagnostics:
     grid: object
     times: list
     v: list  # Field values per time (time integral of sum d_i u_i)
-    b: list  # ratio sum u_i / sum d_i u_i, NaN where undefined
-    b_defined: list  # boolean masks
     b_bounds_ok: bool
     b_min: float
     b_max: float
 
 
 def accumulate_v(traj: Trajectory, d) -> VDiagnostics:
-    """Trapezoidal time integral v of sum_i d_i u_i, plus the b ratio."""
+    """Trapezoidal time integral v of sum_i d_i u_i, plus the range of the b ratio."""
     if not traj.states:
         raise EmptyTrajectory("trajectory has no states")
     d = np.asarray(d, dtype=float)
@@ -66,18 +64,14 @@ def accumulate_v(traj: Trajectory, d) -> VDiagnostics:
         dt = times[k] - times[k - 1]
         v.append(v[-1] + 0.5 * dt * (integrand[k] + integrand[k - 1]))
 
-    b, masks = [], []
     bmin, bmax = math.inf, -math.inf
     for su, sdu in zip(sums, integrand):
         defined = su > thresh
-        ratio = np.full(traj.grid.shape, np.nan)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio[defined] = su[defined] / sdu[defined]
-        b.append(ratio)
-        masks.append(defined)
         if defined.any():
-            bmin = min(bmin, float(ratio[defined].min()))
-            bmax = max(bmax, float(ratio[defined].max()))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = su[defined] / sdu[defined]
+            bmin = min(bmin, float(ratio.min()))
+            bmax = max(bmax, float(ratio.max()))
 
     lo, hi = 1.0 / max(d), 1.0 / min(d)
     tol = 1e-9 * hi
@@ -86,8 +80,6 @@ def accumulate_v(traj: Trajectory, d) -> VDiagnostics:
         grid=traj.grid,
         times=times,
         v=v,
-        b=b,
-        b_defined=masks,
         b_bounds_ok=bool(ok),
         b_min=bmin,
         b_max=bmax,
@@ -340,15 +332,13 @@ def norm_report(traj: Trajectory, p_list, weak_p=None) -> NormReport:
         meas = sum(wk * vol * (r.size - np.searchsorted(r, levels)) for wk, r in zip(w, ranked))
         weak_norms.append(max(0.0, *(lam * mk ** (1.0 / weak_p) for lam, mk in zip(levels, meas))))
 
-    # windowed sup over unit windows, from step-resolved diagnostics
-    horizon = traj.step_times[-1]
-    nwin = max(1, int(math.floor(horizon + 1e-9)))
-    wins = [0.0] * nwin
-    for t, dg in zip(traj.step_times, traj.step_diagnostics):
-        k = min(int(t), nwin - 1)
-        wins[k] = max(wins[k], max(dg.sup_value))
+    # windowed sup over unit windows, from the step record
+    nwin = max(1, int(math.floor(traj.step_times[-1] + 1e-9)))
+    wins = np.zeros(nwin)
+    np.maximum.at(wins, np.minimum(traj.step_times.astype(int), nwin - 1),
+                  traj.step_diagnostics.sup_value.max(axis=1))
 
-    return NormReport(spacetime, wins, None if weak_p is None else weak_norms)
+    return NormReport(spacetime, wins.tolist(), None if weak_p is None else weak_norms)
 
 
 # ----------------------------------------------------------------------

@@ -60,35 +60,31 @@ class SolverConfig:
 
 
 @dataclass
-class StepDiagnostics:
-    picard_iterations: int
-    residual: float
-    min_value: list  # per species
-    sup_value: list  # per species
-    total_mass: list  # per species
-
-
-@dataclass
 class Trajectory:
     grid: Grid
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)  # stacked (m, ...) arrays
     blowup_time: float | None = None
 
-    # step-resolved records (kept even when states are thinned)
-    step_times: list = field(default_factory=list)
-    step_diagnostics: list = field(default_factory=list)
+    # step_record rows from t = 0, one per accepted window, kept when states are thinned
+    step_times: np.ndarray | None = None
+    step_diagnostics: np.recarray | None = None
 
 
-def _diag(grid: Grid, u: np.ndarray, iterations: int = 0, residual: float = 0.0):
-    vol = grid.cell_volume
-    return StepDiagnostics(
-        picard_iterations=iterations,
-        residual=residual,
-        min_value=[float(ui.min()) for ui in u],
-        sup_value=[float(np.abs(ui).max()) for ui in u],
-        total_mass=[float(vol * ui.sum()) for ui in u],
-    )
+def species_stats(grid: Grid, u: np.ndarray):
+    """(min_value, sup_value, total_mass) of a stacked (m, ...) state: per species
+    its minimum, the sup of |u_i| and its mass, one reduction each over the grid."""
+    flat = u.reshape(len(u), -1)
+    return flat.min(axis=1), np.abs(flat).max(axis=1), grid.cell_volume * flat.sum(axis=1)
+
+
+def step_record(iterations, residuals, stats) -> np.recarray:
+    """The step record, one row per window: its Picard iterations and residual,
+    and the (m,) fields min_value, sup_value and total_mass of its species_stats."""
+    mins, sups, masses = map(np.array, zip(*stats))
+    return np.rec.fromarrays([iterations, residuals, mins, sups, masses],
+                             formats=[int, float] + [(float, mins.shape[1:])] * 3,
+                             names="picard_iterations,residual,min_value,sup_value,total_mass")
 
 
 def phi_weights(z: np.ndarray):
@@ -184,16 +180,12 @@ def solve_mild(model: ReactionModel, u0, cfg: SolverConfig) -> Trajectory:
     if np.min(u) < 0:
         raise NegativeInitialData(f"negative initial value {np.min(u):.3g}")
 
-    threshold = cfg.blowup_factor * max(
-        sum(float(np.max(np.abs(ui))) for ui in u), 1e-300
-    )
-    stepper = _Stepper(grid, model, cfg.alpha, cfg.dealias)
-
     traj = Trajectory(grid=grid)
     traj.times.append(0.0)
     traj.states.append(u.copy())
-    traj.step_times.append(0.0)
-    traj.step_diagnostics.append(_diag(grid, u))
+    step_times, iterations, residuals, stats = [0.0], [0], [0.0], [species_stats(grid, u)]
+    threshold = cfg.blowup_factor * max(sum(stats[0][1].tolist()), 1e-300)  # sum_i sup |u_i|
+    stepper = _Stepper(grid, model, cfg.alpha, cfg.dealias)
 
     t = 0.0
     depth = 0  # halvings of cfg.dt in force
@@ -219,26 +211,28 @@ def solve_mild(model: ReactionModel, u0, cfg: SolverConfig) -> Trajectory:
             calm = 0
         t += dt_step
         u = u_next
-        d = _diag(grid, u, iters, res)
-        traj.step_times.append(t)
-        traj.step_diagnostics.append(d)
+        step_times.append(t)
+        iterations.append(iters)
+        residuals.append(res)
+        stats.append(species_stats(grid, u))
         steps_since_store += 1
         if steps_since_store >= cfg.store_every or t >= cfg.horizon - eps:
             traj.times.append(t)
             traj.states.append(u.copy())
             steps_since_store = 0
-        if sum(d.sup_value) > threshold:
+        if sum(stats[-1][1].tolist()) > threshold:
             traj.blowup_time = t
             break
+    traj.step_times = np.array(step_times)
+    traj.step_diagnostics = step_record(iterations, residuals, stats)
     return traj
 
 
 def detect_blowup(traj: Trajectory, threshold: float):
     """First recorded time where sum_i ||u_i||_inf exceeds threshold, or None."""
-    for t, d in zip(traj.step_times, traj.step_diagnostics):
-        if sum(d.sup_value) > threshold:
-            return t
-    return None
+    # sum over the species columns adds them left to right, as the solver does
+    over = np.flatnonzero(sum(traj.step_diagnostics.sup_value.T) > threshold)
+    return float(traj.step_times[over[0]]) if over.size else None
 
 
 # ----------------------------------------------------------------------

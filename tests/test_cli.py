@@ -96,6 +96,20 @@ DEFECTS = [
     ("reports.weak_p", [(("reports", "weak_p"), True)]),
     ("reports.norm_p", [(("reports", "norm_p"), [2, True])]),
 ]
+# JSON true read as 1.0 in numeric keys, keyed by test id
+TRUE_AS_ONE = {
+    "grid.extent=true": ("grid", [(("grid", "extent"), True)]),
+    "solver.dt=true": ("solver", [(("solver", "dt"), True), (("solver", "horizon"), 2.0)]),
+    "solver.horizon=true": ("solver", [(("solver", "horizon"), True)]),
+    "diffusivities=true": ("diffusivities", [(("diffusivities", 1), True)]),
+    "reports.ladder.rho=true": ("reports.ladder", [(("reports", "ladder", "rho"), True)]),
+    "reports.ladder.eps_star=true": ("reports.ladder",
+                                     [(("reports", "ladder", "eps_star"), True)]),
+    "reports.gn.alpha=true": ("reports.gn", [(("reports", "gn", "alpha"), True)]),
+    "reports.sv.alpha=true": ("reports.sv", [(("reports", "sv", "alpha"), [0.5, True])]),
+}
+DEFECT_IDS = [d[0] for d in DEFECTS] + list(TRUE_AS_ONE)
+DEFECTS += TRUE_AS_ONE.values()
 
 # Every field validate_config owns, each with valid and invalid values.
 FIELDS = {
@@ -103,13 +117,13 @@ FIELDS = {
     ("seed",): [0, 7, -1, 1.5, "0", True],
     ("grid", "dims"): [1, 2, 0, 4, 1.0],
     ("grid", "points"): [8, 32, 10, 4, 8.0, None],
-    ("grid", "extent"): [10.0, 40, 0, -1.0, "wide", float("nan")],
+    ("grid", "extent"): [10.0, 40, 0, -1.0, "wide", float("nan"), True],
     ("model",): ["bimolecular", "dissipative-pair", "nope", 5, None, {"name": "x"},
                  dict(PAIR, terms=[[[-1.0, [1, 1, 1]]], [[-1.0, [1, 1]]]]),
                  dict(PAIR, terms=[[[-1.0, [1, -1]]], [[-1.0, [1, 1]]]]),
                  dict(PAIR, terms=[[[-1.0, [1, 1]]]])],
     ("diffusivities",): [[1.0, 1.0, 1.0, 1.0], [1.0, 1.0], [1.0, 0.0, 1.0, 1.0],
-                         [1.0, float("inf"), 1.0, 1.0], 3, None],
+                         [1.0, float("inf"), 1.0, 1.0], [1.0, True, 1.0, 1.0], 3, None],
     ("initial_data",): [[], "bump"],
     ("initial_data", 0): [{"profile": "random-band-limited", "amplitude": 0.5},
                           {"profile": "nope"}, "constant", {"profile": "constant", "amplitude": -1},
@@ -121,23 +135,23 @@ FIELDS = {
                           {"profile": "random-band-limited", "modes": 0},
                           {"profile": "random-band-limited", "modes": True},
                           {"profile": "random-band-limited", "modes": 2.0}],
-    ("solver", "dt"): [0.1, 0.2, 0, -0.05, 0.5, "x"],
-    ("solver", "horizon"): [0.1, 0.01, 0, float("inf")],
-    ("solver", "alpha"): [1.0, 0.25, 0, 1.5, "x"],
+    ("solver", "dt"): [0.1, 0.2, 0, -0.05, 0.5, "x", True],
+    ("solver", "horizon"): [0.1, 0.01, 0, float("inf"), True],
+    ("solver", "alpha"): [1.0, 0.25, 0, 1.5, "x", True],
     ("solver", "dealias"): [False, True, "no", 1, None],
     ("solver", "store_every"): [3, "x", 0, -3, 2.5, True],
     ("reports", "norm_p"): [[1, "inf"], [0.5], ["x"], 3, [True]],
     ("reports", "weak_p"): [1, 0, "2", None, True],
     ("reports", "holder_gamma"): [[0.25, 0.75], [1.5], [0], ["x"], 0.5],
     ("reports", "sv", "ell"): [[2, 4], [1], ["x"]],
-    ("reports", "sv", "alpha"): [[0.3, 1.0], [1.5], [0]],
+    ("reports", "sv", "alpha"): [[0.3, 1.0], [1.5], [0], [True]],
     ("reports", "sv", "fields"): [0, 2, "x", 2.7, True],
     ("reports", "gn", "q"): [3.0, 2.0, 10.0, "x"],
-    ("reports", "gn", "alpha"): [0.9, 3.0, 0],
+    ("reports", "gn", "alpha"): [0.9, 3.0, 0, True],
     ("reports", "gn", "fields"): [1, 0, "x", 2.7],
-    ("reports", "ladder", "rho"): [1.2, 2.5, 0.5, "x"],
+    ("reports", "ladder", "rho"): [1.2, 2.5, 0.5, "x", True],
     ("reports", "ladder", "p0"): [3.0, 1.0],
-    ("reports", "ladder", "eps_star"): [0.5, -1.0],
+    ("reports", "ladder", "eps_star"): [0.5, -1.0, True],
 }
 
 
@@ -166,7 +180,7 @@ def test_validate_rejects_inadmissible_rho_before_compute():
     assert any("rho" in m for m in exc.value.messages)
 
 
-@pytest.mark.parametrize("path,mutations", DEFECTS, ids=[d[0] for d in DEFECTS])
+@pytest.mark.parametrize("path,mutations", DEFECTS, ids=DEFECT_IDS)
 def test_config_defects_fail_before_solve(tmp_path, monkeypatch, capsys, path, mutations):
     def no_solve(*args, **kwargs):
         raise AssertionError("solve_mild called on an invalid config")
@@ -228,6 +242,18 @@ def test_weak_norm_check_covers_every_species(tmp_path, monkeypatch, weak_p):
     assert man["violations"] == [f"weak-L{weak_p} above strong for species 3"]
     rows = (tmp_path / "run" / "norms.csv").read_text().splitlines()[1:]
     assert sorted({row.split(",")[1] for row in rows}) == ["2.0", "inf"]
+
+
+def test_negative_values_fail_the_run(tmp_path):
+    # f = (-1, +1) drains species 0 below zero at t = 0.1; the solver does not clip
+    drain = {"name": "drain", "species": 2, "diffusivities": [1.0, 1.0],
+             "terms": [[[-1.0, [0, 0]]], [[1.0, [0, 0]]]]}
+    cfg = _tiny([(("model",), drain), (("diffusivities",), [1.0, 1.0]),
+                 (("initial_data",), [{"profile": "constant", "amplitude": 0.1}] * 2),
+                 (("solver", "horizon"), 0.3)])
+    man = run_scenario(cfg, outdir=str(tmp_path / "run"))
+    assert not man["passed"]
+    assert man["violations"] == ["negativity -0.049999999999999996 beyond tolerance"]
 
 
 def test_run_scenario_manifest(tmp_path):

@@ -30,9 +30,14 @@ from fracrd.estimate_lab import (
     solve_forced_mode,
     stroock_varopoulos_gap,
 )
-from fracrd.mild_solver import SolverConfig, Trajectory, solve_mild
+from fracrd.mild_solver import SolverConfig, Trajectory, solve_mild, species_stats, step_record
 from fracrd.rds_model import ReactionModel, bimolecular
 from fracrd.spectral_core import Field, make_grid
+
+
+def _record(g, states):
+    """The step record of states, with zero Picard iterations and residuals."""
+    return step_record([0] * len(states), [0.0] * len(states), [species_stats(g, s) for s in states])
 
 
 def _const_traj(g, consts, times):
@@ -40,9 +45,8 @@ def _const_traj(g, consts, times):
     for t in times:
         traj.times.append(t)
         traj.states.append(np.stack([np.full(g.shape, c) for c in consts]))
-    traj.step_times = list(times)
-    from fracrd.mild_solver import _diag
-    traj.step_diagnostics = [_diag(g, s) for s in traj.states]
+    traj.step_times = np.array(times, dtype=float)
+    traj.step_diagnostics = _record(g, traj.states)
     return traj
 
 
@@ -51,7 +55,7 @@ def test_accumulate_v_zero_trajectory():
     traj = _const_traj(g, (0.0, 0.0), [0.0, 1.0])
     vd = accumulate_v(traj, (1.0, 2.0))
     assert all(np.all(v == 0.0) for v in vd.v)
-    assert not any(m.any() for m in vd.b_defined)
+    assert vd.b_min == math.inf and vd.b_max == -math.inf  # no node where b is defined
     assert vd.b_bounds_ok  # vacuously: no defined nodes
 
 
@@ -83,8 +87,7 @@ def test_accumulate_v_empty():
 def test_holder_constant_field():
     g = make_grid(1, 10.0, 8)
     vd = VDiagnostics(grid=g, times=[0.0, 1.0],
-                      v=[np.full(g.shape, 2.0)] * 2, b=[], b_defined=[],
-                      b_bounds_ok=True, b_min=1.0, b_max=1.0)
+                      v=[np.full(g.shape, 2.0)] * 2, b_bounds_ok=True, b_min=1.0, b_max=1.0)
     sp, pa = holder_seminorm(vd, 0.5)
     assert sp == 0.0 and pa == 0.0
 
@@ -92,8 +95,8 @@ def test_holder_constant_field():
 def test_holder_sin_near_lipschitz():
     g = make_grid(1, 2 * np.pi, 256)
     x = g.coord_arrays()[0]
-    vd = VDiagnostics(grid=g, times=[0.0, 1.0], v=[np.sin(x)] * 2, b=[],
-                      b_defined=[], b_bounds_ok=True, b_min=1.0, b_max=1.0)
+    vd = VDiagnostics(grid=g, times=[0.0, 1.0], v=[np.sin(x)] * 2,
+                      b_bounds_ok=True, b_min=1.0, b_max=1.0)
     sp, _ = holder_seminorm(vd, 0.99)
     assert sp == pytest.approx(1.0, rel=0.05)
 
@@ -101,7 +104,7 @@ def test_holder_sin_near_lipschitz():
 def test_holder_guards():
     g = make_grid(1, 10.0, 8)
     vd = VDiagnostics(grid=g, times=[0.0, 1.0], v=[np.zeros(g.shape)] * 2,
-                      b=[], b_defined=[], b_bounds_ok=True, b_min=1.0, b_max=1.0)
+                      b_bounds_ok=True, b_min=1.0, b_max=1.0)
     with pytest.raises(GammaOutOfRange):
         holder_seminorm(vd, 1.0)
     vd.times = [0.0]
@@ -210,9 +213,8 @@ def test_weak_norm_indicator():
     for t in (0.0, 1.0):
         traj.times.append(t)
         traj.states.append(np.stack([vals]))
-    traj.step_times = [0.0, 1.0]
-    from fracrd.mild_solver import _diag
-    traj.step_diagnostics = [_diag(g, s) for s in traj.states]
+    traj.step_times = np.array([0.0, 1.0])
+    traj.step_diagnostics = _record(g, traj.states)
     rep = norm_report(traj, [2.0], weak_p=2.0)
     # weak-L2 = c m^{1/2} with spacetime measure m = 2.5 * 1.0
     assert rep.weak_norms[0] == pytest.approx(3.0 * math.sqrt(2.5), rel=1e-6)
@@ -226,9 +228,8 @@ def test_weak_below_strong_random():
     for t in np.linspace(0.0, 1.0, 5):
         traj.times.append(float(t))
         traj.states.append(np.stack([np.abs(rng.standard_normal(g.shape))]))
-    traj.step_times = list(traj.times)
-    from fracrd.mild_solver import _diag
-    traj.step_diagnostics = [_diag(g, s) for s in traj.states]
+    traj.step_times = np.array(traj.times)
+    traj.step_diagnostics = _record(g, traj.states)
     rep = norm_report(traj, [2.0, 3.0], weak_p=2.0)
     assert rep.weak_norms[0] <= rep.spacetime[(0, 2.0)] * (1 + 1e-12)
 
@@ -261,18 +262,32 @@ def _norm_report_per_state(traj, p_list, weak_p):
     return spacetime, weak_norms
 
 
+def _windowed_sup_per_step(traj):
+    """norm_report's windowed sup with one update per recorded step."""
+    nwin = max(1, int(math.floor(traj.step_times[-1] + 1e-9)))
+    wins = [0.0] * nwin
+    for t, d in zip(traj.step_times, traj.step_diagnostics):
+        k = min(int(t), nwin - 1)
+        wins[k] = max(wins[k], max(d.sup_value))
+    return wins
+
+
 def test_norm_report_equals_per_state_loop():
     g = make_grid(1, 10.0, 32)
     x = g.coord_arrays()[0]
     frozen = ReactionModel("frozen", 3, (1.0, 1.0, 0.5), lambda u, t: 0.0 * u)
     u0 = [Field(g, np.exp(-x**2)), Field(g, np.zeros(g.shape)), Field(g, 1.0 + np.cos(x))]
-    traj = solve_mild(frozen, u0, SolverConfig(dt=0.05, horizon=1.0, store_every=3))
+    # horizon 2.5: two unit windows, the last one holding the partial [2, 2.5]
+    traj = solve_mild(frozen, u0, SolverConfig(dt=0.05, horizon=2.5, store_every=3))
     p_list = [1.5, 2.0, math.inf]
     rep = norm_report(traj, p_list, weak_p=2.5)
     spacetime, weak_norms = _norm_report_per_state(traj, p_list, 2.5)
     assert list(rep.spacetime.items()) == list(spacetime.items())
     assert [type(v) for v in rep.spacetime.values()] == [type(v) for v in spacetime.values()]
     assert rep.weak_norms == weak_norms and weak_norms[1] == 0.0
+    wins = _windowed_sup_per_step(traj)
+    assert len(wins) == 2 and wins[0] > wins[1]
+    assert all(a == b and type(a) is float for a, b in zip(rep.windowed_sup, wins, strict=True))
 
 
 def test_ladder_worked_examples():

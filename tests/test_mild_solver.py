@@ -1,6 +1,8 @@
 import csv
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,3 +320,20 @@ def test_store_every_thinning():
     assert len(traj.step_times) == 101
     assert len(traj.times) == 11
     assert traj.times[-1] == pytest.approx(1.0)
+
+
+def test_bench_tracer_reads_the_step_record():
+    # the bench tracer's solver counters, read from bench/tracer.py as it stands
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    g = make_grid(1, 40.0, 64)
+    traj = solve_mild(bimolecular(), _bump_fields(g, (1.0, 0.3, 0.8, 0.2)),
+                      SolverConfig(dt=0.125, horizon=1.0, alpha=0.5))
+    stats = tracer._solve_stats(None, traj)
+    rec = traj.step_diagnostics
+    assert stats["windows"] == len(traj.step_times) - 1 >= 8
+    assert stats["iterations"] == rec.picard_iterations[1:].sum()
+    assert stats["t_end"] == 1.0  # dyadic steps add up exactly
+    assert rec.sup_value.shape == (len(traj.step_times), 4)
