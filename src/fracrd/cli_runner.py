@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -44,11 +45,12 @@ PROFILES = ("gaussian-bump", "two-bumps", "constant", "random-band-limited")
 # Config loading and validation
 # ----------------------------------------------------------------------
 
-def _as_float(x):
-    if isinstance(x, bool):
-        raise TypeError(f"not a number: {x!r}")
+def _as_float(x, name=None) -> float:
+    """x as a float: a JSON number (not a boolean) or the string "inf"."""
     if isinstance(x, str) and x.lower() in ("inf", "infinity"):
         return math.inf
+    if not _real(x):
+        raise InvalidParameter(f"must be a number, got {x!r}", name)
     return float(x)
 
 
@@ -78,16 +80,17 @@ def _at(path, build, *args):
         raise ConfigInvalid([f"{path}: {msg}"]) from None
 
 
-def validate_config(cfg: dict) -> dict:
-    """Return a normalised copy of cfg; raise ConfigInvalid with one
-    message per offending field, each starting with the field's config path.
+def validate_config(cfg: dict) -> SimpleNamespace:
+    """The scenario cfg describes: seed, grid, model, solver (a SolverConfig),
+    initial_data (the profile specs), reports (the raw section) and the sv,
+    gn and ladder report specs (None when disabled).  Raises ConfigInvalid
+    with one message per offending field, each starting with its config path.
 
-    The grid, model and solver settings are built by the calls run_scenario
-    makes, and the initial data and each enabled report go through the
-    checks their own code applies; only rules no other code holds (schema
-    version, seed, section shapes, profile count, norm exponents) are here.
-    Nothing grid-sized is allocated, so every config error is reported
-    before any compute.
+    The initial data and each enabled report go through the checks their own
+    code applies; only rules no other code holds (schema version, seed,
+    section shapes, profile count, norm exponents) are here.  Nothing
+    grid-sized is allocated, so every config error is reported before any
+    compute.
     """
     msgs = []
 
@@ -123,36 +126,38 @@ def validate_config(cfg: dict) -> dict:
         try:
             if not _as_float(p) >= 1:
                 msgs.append(f"reports.norm_p: exponent {p!r} below 1")
-        except (TypeError, ValueError):
+        except InvalidParameter:
             msgs.append(f"reports.norm_p: bad exponent {p!r}")
     weak_p = rep.get("weak_p")
     if weak_p is not None and not (_real(weak_p) and weak_p >= 1):
         msgs.append(f"reports.weak_p: must be a real >= 1, got {weak_p!r}")
     for gamma in check("reports.holder_gamma", list, rep.get("holder_gamma", [])) or []:
         check("reports.holder_gamma", el.check_holder_gamma, gamma)
+    sv = gn = ladder = None
     if rep.get("sv"):
-        check("reports.sv", _sv_spec, rep["sv"])
+        sv = check("reports.sv", _sv_spec, rep["sv"])
     if rep.get("gn") and grid is not None:
-        check("reports.gn", _gn_spec, rep["gn"], grid.dims)
+        gn = check("reports.gn", _gn_spec, rep["gn"], grid.dims)
     if rep.get("ladder") and grid is not None and scfg is not None:
-        check("reports.ladder", _ladder, rep["ladder"], grid.dims, scfg.alpha)
+        ladder = check("reports.ladder", _ladder, rep["ladder"], grid.dims, scfg.alpha)
 
     if msgs:
         raise ConfigInvalid(msgs)
-    return copy.deepcopy(cfg)
+    return SimpleNamespace(seed=cfg.get("seed", 0), grid=grid, model=model, solver=scfg,
+                           initial_data=init, reports=rep, sv=sv, gn=gn, ladder=ladder)
 
 
 def _grid(cfg: dict):
     g = cfg["grid"]
-    return make_grid(g["dims"], _as_float(g["extent"]), g["points"])
+    return make_grid(g["dims"], _as_float(g["extent"], "extent"), g["points"])
 
 
 def _solver_config(cfg: dict) -> SolverConfig:
     sol = cfg["solver"]
     return SolverConfig(
-        dt=_as_float(sol["dt"]),
-        horizon=_as_float(sol["horizon"]),
-        alpha=_as_float(sol.get("alpha", 0.5)),
+        dt=_as_float(sol["dt"], "dt"),
+        horizon=_as_float(sol["horizon"], "horizon"),
+        alpha=_as_float(sol.get("alpha", 0.5), "alpha"),
         dealias=sol.get("dealias", True),
         store_every=sol.get("store_every", 1),
     )
@@ -282,12 +287,30 @@ def _fmt(x):
     return str(x)
 
 
-def write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+def write_csv(outdir, name, header, rows) -> str:
+    """Write outdir/name, the header row then rows; return name."""
+    with open(os.path.join(outdir, name), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
             w.writerow([_fmt(x) for x in row])
+    return name
+
+
+def write_json(outdir, name, obj) -> str:
+    """Write obj to outdir/name as indented JSON with sorted keys; return name."""
+    with open(os.path.join(outdir, name), "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+    return name
+
+
+def write_manifest(outdir, files, violations, **fields) -> dict:
+    """Write and return outdir/manifest.json: fields, the SHA-256 of each
+    file named in files, the violations and whether there are none."""
+    manifest = dict(fields, violations=violations, passed=not violations,
+                    files={name: _sha256(os.path.join(outdir, name)) for name in files})
+    write_json(outdir, "manifest.json", manifest)
+    return manifest
 
 
 def _sha256(path) -> str:
@@ -330,14 +353,14 @@ def _sv_spec(sv: dict):
     ells, alphas = sv.get("ell", [2.0, 3.0, 4.0]), sv.get("alpha", [0.3, 0.5, 0.9])
     for ell in ells:
         for al in alphas:
-            el.check_sv(_as_float(al), _as_float(ell))
+            el.check_sv(_as_float(al, "alpha"), _as_float(ell, "ell"))
     return fields, ells, alphas
 
 
 def _gn_spec(gn: dict, dims: int):
     """(fields, alpha, q) of reports.gn; raises unless the ratio is defined, fields >= 1."""
     fields = _field_count(gn)
-    el.check_gn(dims, _as_float(gn["alpha"]), _as_float(gn["q"]))
+    el.check_gn(dims, _as_float(gn["alpha"], "alpha"), _as_float(gn["q"], "q"))
     return fields, gn["alpha"], gn["q"]
 
 
@@ -367,8 +390,8 @@ def _gn_rows(grid, rng, fields, alpha, q) -> list:
 
 def _ladder(lad: dict, dims: int, alpha: float):
     return el.duality_ladder(
-        dims, alpha, _as_float(lad.get("rho", 1.0)),
-        _as_float(lad.get("p0", 2.0)), _as_float(lad.get("eps_star", 0.0)),
+        dims, alpha, _as_float(lad.get("rho", 1.0), "rho"),
+        _as_float(lad.get("p0", 2.0), "p0"), _as_float(lad.get("eps_star", 0.0), "eps_star"),
     )
 
 
@@ -377,25 +400,17 @@ def _ladder(lad: dict, dims: int, alpha: float):
 # ----------------------------------------------------------------------
 
 def run_scenario(cfg: dict, outdir=None) -> dict:
-    cfg = validate_config(cfg)
+    sc = validate_config(cfg)
     outdir = _resolve_outdir(outdir or cfg.get("output_dir"), "fracrd-run")
-    seed = cfg.get("seed", 0)
-    rng = np.random.default_rng(seed)
+    grid, model, rep = sc.grid, sc.model, sc.reports
+    rng = np.random.default_rng(sc.seed)
+    u0 = [make_profile(grid, spec, rng) for spec in sc.initial_data]
+    traj = solve_mild(model, u0, sc.solver)
 
-    grid = _grid(cfg)
-    model = build_model(cfg)
-    u0 = [make_profile(grid, spec, rng) for spec in cfg["initial_data"]]
-    scfg = _solver_config(cfg)
-    traj = solve_mild(model, u0, scfg)
-
-    files = []
+    save_checkpoint(os.path.join(outdir, "final_state.csv"), grid, traj.times[-1], traj.states[-1])
+    files = ["final_state.csv"]
     violations = []
 
-    ckpt = os.path.join(outdir, "final_state.csv")
-    save_checkpoint(ckpt, grid, traj.times[-1], traj.states[-1])
-    files.append(ckpt)
-
-    rep = cfg.get("reports", {})
     norm_p = [_as_float(p) for p in rep.get("norm_p", [2.0])]
     weak_p = rep.get("weak_p")
     # the weak-versus-strong check needs the strong L^weak_p(Q) norm even
@@ -406,17 +421,14 @@ def run_scenario(cfg: dict, outdir=None) -> dict:
     for (i, p), val in sorted(report.spacetime.items()):
         if p in norm_p:
             rows.append([i, "inf" if math.isinf(p) else p, val])
-    write_csv(os.path.join(outdir, "norms.csv"),
-              ["species", "p", "spacetime_norm"], rows)
-    files.append(os.path.join(outdir, "norms.csv"))
+    files.append(write_csv(outdir, "norms.csv", ["species", "p", "spacetime_norm"], rows))
     if weak_p is not None:
         for i, wn in enumerate(report.weak_norms):
             if wn > report.spacetime[(i, weak_p)] * (1.0 + 1e-12):
                 violations.append(f"weak-L{weak_p} above strong for species {i}")
 
-    write_csv(os.path.join(outdir, "windowed_sup.csv"),
-              ["window", "sup"], list(enumerate(report.windowed_sup)))
-    files.append(os.path.join(outdir, "windowed_sup.csv"))
+    files.append(write_csv(outdir, "windowed_sup.csv", ["window", "sup"],
+                           list(enumerate(report.windowed_sup))))
 
     vd = el.accumulate_v(traj, model.d)
     if not vd.b_bounds_ok:
@@ -424,41 +436,30 @@ def run_scenario(cfg: dict, outdir=None) -> dict:
             f"b outside [{1.0 / max(model.d)}, {1.0 / min(model.d)}]: "
             f"[{vd.b_min}, {vd.b_max}]"
         )
-    write_csv(os.path.join(outdir, "b_bounds.csv"),
-              ["b_min", "b_max", "lower", "upper", "ok"],
-              [[vd.b_min, vd.b_max, 1.0 / max(model.d), 1.0 / min(model.d),
-                vd.b_bounds_ok]])
-    files.append(os.path.join(outdir, "b_bounds.csv"))
+    files.append(write_csv(outdir, "b_bounds.csv", ["b_min", "b_max", "lower", "upper", "ok"],
+                           [[vd.b_min, vd.b_max, 1.0 / max(model.d), 1.0 / min(model.d),
+                             vd.b_bounds_ok]]))
 
     rows = []
     for gamma in rep.get("holder_gamma", []):
-        sp, pa = el.holder_seminorm(vd, float(gamma), seed=seed)
+        sp, pa = el.holder_seminorm(vd, float(gamma), seed=sc.seed)
         rows.append([gamma, sp, pa])
     if rows:
-        write_csv(os.path.join(outdir, "holder.csv"),
-                  ["gamma", "space", "parabolic"], rows)
-        files.append(os.path.join(outdir, "holder.csv"))
+        files.append(write_csv(outdir, "holder.csv", ["gamma", "space", "parabolic"], rows))
 
-    if rep.get("sv"):
-        rows = _sv_rows(grid, rng, *_sv_spec(rep["sv"]), violations)
-        write_csv(os.path.join(outdir, "sv.csv"),
-                  ["field", "ell", "alpha", "gap"], rows)
-        files.append(os.path.join(outdir, "sv.csv"))
+    if sc.sv is not None:
+        rows = _sv_rows(grid, rng, *sc.sv, violations)
+        files.append(write_csv(outdir, "sv.csv", ["field", "ell", "alpha", "gap"], rows))
 
-    gn = rep.get("gn")
-    if gn:
-        rows = _gn_rows(grid, rng, *_gn_spec(gn, grid.dims))
-        rows.append(["max", gn["q"], gn["alpha"], max(r[-1] for r in rows)])
-        write_csv(os.path.join(outdir, "gn.csv"),
-                  ["field", "q", "alpha", "ratio"], rows)
-        files.append(os.path.join(outdir, "gn.csv"))
+    if sc.gn is not None:
+        fields, alpha, q = sc.gn
+        rows = _gn_rows(grid, rng, fields, alpha, q)
+        rows.append(["max", q, alpha, max(r[-1] for r in rows)])
+        files.append(write_csv(outdir, "gn.csv", ["field", "q", "alpha", "ratio"], rows))
 
-    if rep.get("ladder"):
-        ladder = _ladder(rep["ladder"], grid.dims, scfg.alpha)
-        with open(os.path.join(outdir, "ladder.json"), "w") as fh:
-            json.dump(vars(ladder), fh, indent=2, sort_keys=True)
-        files.append(os.path.join(outdir, "ladder.json"))
-        if ladder.diverged:
+    if sc.ladder is not None:
+        files.append(write_json(outdir, "ladder.json", vars(sc.ladder)))
+        if sc.ladder.diverged:
             violations.append("exponent ladder failed to terminate")
 
     rec = traj.step_diagnostics
@@ -467,18 +468,8 @@ def run_scenario(cfg: dict, outdir=None) -> dict:
     if neg.size:
         violations.append(f"negativity {low[neg[0]]} beyond tolerance")
 
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "seed": seed,
-        "output_dir": outdir,
-        "blowup_time": traj.blowup_time,
-        "files": {os.path.basename(p): _sha256(p) for p in sorted(files)},
-        "violations": violations,
-        "passed": not violations,
-    }
-    with open(os.path.join(outdir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    return manifest
+    return write_manifest(outdir, files, violations, schema_version=SCHEMA_VERSION,
+                          seed=sc.seed, output_dir=outdir, blowup_time=traj.blowup_time)
 
 
 # ----------------------------------------------------------------------
@@ -525,8 +516,7 @@ def sweep(cfg: dict, axis: str, values, outdir=None) -> list:
         man = run_scenario(sub, outdir=os.path.join(outdir, f"{axis}={v}"))
         rows.append([v, man["passed"], len(man["violations"]),
                      man["blowup_time"] if man["blowup_time"] is not None else ""])
-    write_csv(os.path.join(outdir, "sweep.csv"),
-              [axis, "passed", "violations", "blowup_time"], rows)
+    write_csv(outdir, "sweep.csv", [axis, "passed", "violations", "blowup_time"], rows)
     return rows
 
 
@@ -534,7 +524,7 @@ def sweep(cfg: dict, axis: str, values, outdir=None) -> list:
 # verify suites
 # ----------------------------------------------------------------------
 
-def _suite_kernel(outdir, seed):
+def _suite_kernel(seed):
     rows, bad = [], []
     g = make_grid(1, 200.0, 1024)
     for alpha, exact in ((0.5, 1.0 / np.pi), (1.0, (4.0 * np.pi) ** -0.5)):
@@ -562,12 +552,10 @@ def _suite_kernel(outdir, seed):
                      repf.predicted_slope, repf.relative_error])
         if repf.relative_error > 0.05:
             bad.append(f"smoothing slope off by {repf.relative_error:.3g}")
-    write_csv(os.path.join(outdir, "kernel.csv"),
-              ["check", "alpha", "value", "expected", "error"], rows)
-    return ["kernel.csv"], bad
+    return ["check", "alpha", "value", "expected", "error"], rows, bad
 
 
-def _suite_inequalities(outdir, seed):
+def _suite_inequalities(seed):
     rows, bad = [], []
     rng = np.random.default_rng(seed)
     g = make_grid(1, 2.0 * np.pi, 128)
@@ -584,12 +572,10 @@ def _suite_inequalities(outdir, seed):
             rows.append(["maxreg", k, mu, 0.5, ratio])
             if ratio > 1.05 / mu:
                 bad.append(f"maximal regularity ratio {ratio} > 1.05/{mu}")
-    write_csv(os.path.join(outdir, "inequalities.csv"),
-              ["check", "field", "param", "alpha", "value"], rows)
-    return ["inequalities.csv"], bad
+    return ["check", "field", "param", "alpha", "value"], rows, bad
 
 
-def _suite_ladder(outdir, seed):
+def _suite_ladder(seed):
     rows, bad = [], []
     lad = el.duality_ladder(2, 0.75, 1.0, 2.0)
     rows.append(["worked-1", lad.sequence, lad.termination_index])
@@ -618,12 +604,10 @@ def _suite_ladder(outdir, seed):
         bad.append("rho=2.5 not rejected")
     except RhoInadmissible:
         rows.append(["rho-reject", 2.5, "ok"])
-    write_csv(os.path.join(outdir, "ladder.csv"),
-              ["check", "value", "termination"], rows)
-    return ["ladder.csv"], bad
+    return ["check", "value", "termination"], rows, bad
 
 
-def _suite_bimolecular(outdir, seed):
+def _suite_bimolecular(seed):
     rows, bad = [], []
     g = make_grid(1, 10.0, 8)
     model = get_model("bimolecular")
@@ -644,11 +628,10 @@ def _suite_bimolecular(outdir, seed):
     rows.append(["b-bounds", vd.b_min, vd.b_max, vd.b_bounds_ok])
     if not vd.b_bounds_ok:
         bad.append("b-coefficient outside bounds")
-    write_csv(os.path.join(outdir, "bimolecular.csv"),
-              ["check", "value", "reference", "extra"], rows)
-    return ["bimolecular.csv"], bad
+    return ["check", "value", "reference", "extra"], rows, bad
 
 
+# each suite maps a seed to (header, rows, violations); run_verify writes {name}.csv
 SUITES = {
     "kernel": _suite_kernel,
     "inequalities": _suite_inequalities,
@@ -664,19 +647,10 @@ def run_verify(names, outdir=None, seed: int = 0) -> dict:
     outdir = _resolve_outdir(outdir, "fracrd-verify")
     files, violations = [], []
     for name in names:
-        written, bad = SUITES[name](outdir, seed)
-        files.extend(os.path.join(outdir, w) for w in written)
+        header, rows, bad = SUITES[name](seed)
+        files.append(write_csv(outdir, f"{name}.csv", header, rows))
         violations.extend(f"{name}: {b}" for b in bad)
-    manifest = {
-        "suites": list(names),
-        "seed": seed,
-        "files": {os.path.basename(p): _sha256(p) for p in sorted(files)},
-        "violations": violations,
-        "passed": not violations,
-    }
-    with open(os.path.join(outdir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    return manifest
+    return write_manifest(outdir, files, violations, suites=list(names), seed=seed)
 
 
 # ----------------------------------------------------------------------

@@ -167,8 +167,8 @@ class _Stepper:
 
 
 def solve_mild(model: ReactionModel, u0, cfg: SolverConfig) -> Trajectory:
-    """Advance the system on [0, horizon]; returns a (possibly truncated)
-    Trajectory when the blow-up threshold is exceeded."""
+    """Advance the system on [0, horizon]; when the blow-up threshold is
+    exceeded, the Trajectory ends at that window, its state stored last."""
     if not all(isinstance(f, Field) for f in u0) or len({f.grid for f in u0}) != 1:
         raise InvalidParameter("u0 must be a nonempty sequence of Fields on one grid")
     grid = u0[0].grid
@@ -216,11 +216,12 @@ def solve_mild(model: ReactionModel, u0, cfg: SolverConfig) -> Trajectory:
         residuals.append(res)
         stats.append(species_stats(grid, u))
         steps_since_store += 1
-        if steps_since_store >= cfg.store_every or t >= cfg.horizon - eps:
+        blown_up = sum(stats[-1][1].tolist()) > threshold
+        if steps_since_store >= cfg.store_every or t >= cfg.horizon - eps or blown_up:
             traj.times.append(t)
             traj.states.append(u.copy())
             steps_since_store = 0
-        if sum(stats[-1][1].tolist()) > threshold:
+        if blown_up:
             traj.blowup_time = t
             break
     traj.step_times = np.array(step_times)

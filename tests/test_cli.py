@@ -12,10 +12,12 @@ from fracrd.cli_runner import (
     load_config,
     main,
     run_scenario,
+    run_verify,
     sweep,
     validate_config,
 )
 from fracrd.errors import ConfigInvalid, EmptyValues, UnknownAxis
+from fracrd.mild_solver import load_checkpoint
 
 DEMO = {
     "schema_version": 1,
@@ -98,18 +100,29 @@ DEFECTS = [
 ]
 # JSON true read as 1.0 in numeric keys, keyed by test id
 TRUE_AS_ONE = {
-    "grid.extent=true": ("grid", [(("grid", "extent"), True)]),
-    "solver.dt=true": ("solver", [(("solver", "dt"), True), (("solver", "horizon"), 2.0)]),
-    "solver.horizon=true": ("solver", [(("solver", "horizon"), True)]),
+    "grid.extent=true": ("grid.extent", [(("grid", "extent"), True)]),
+    "solver.dt=true": ("solver.dt", [(("solver", "dt"), True), (("solver", "horizon"), 2.0)]),
+    "solver.horizon=true": ("solver.horizon", [(("solver", "horizon"), True)]),
     "diffusivities=true": ("diffusivities", [(("diffusivities", 1), True)]),
-    "reports.ladder.rho=true": ("reports.ladder", [(("reports", "ladder", "rho"), True)]),
-    "reports.ladder.eps_star=true": ("reports.ladder",
+    "reports.ladder.rho=true": ("reports.ladder.rho", [(("reports", "ladder", "rho"), True)]),
+    "reports.ladder.eps_star=true": ("reports.ladder.eps_star",
                                      [(("reports", "ladder", "eps_star"), True)]),
-    "reports.gn.alpha=true": ("reports.gn", [(("reports", "gn", "alpha"), True)]),
-    "reports.sv.alpha=true": ("reports.sv", [(("reports", "sv", "alpha"), [0.5, True])]),
+    "reports.gn.alpha=true": ("reports.gn.alpha", [(("reports", "gn", "alpha"), True)]),
+    "reports.sv.alpha=true": ("reports.sv.alpha", [(("reports", "sv", "alpha"), [0.5, True])]),
 }
-DEFECT_IDS = [d[0] for d in DEFECTS] + list(TRUE_AS_ONE)
-DEFECTS += TRUE_AS_ONE.values()
+# numeric strings read as numbers, keyed by test id
+STRING_AS_NUMBER = {
+    "grid.extent=str": ("grid.extent", [(("grid", "extent"), "40")]),
+    "solver.dt=str": ("solver.dt", [(("solver", "dt"), "0.05")]),
+    "solver.alpha=str": ("solver.alpha", [(("solver", "alpha"), "0.5")]),
+    "diffusivities=str": ("diffusivities", [(("diffusivities", 1), "0.7")]),
+    "reports.norm_p=str": ("reports.norm_p", [(("reports", "norm_p"), ["2"])]),
+    "reports.sv.ell=str": ("reports.sv.ell", [(("reports", "sv", "ell"), [2, "3"])]),
+    "reports.gn.q=str": ("reports.gn.q", [(("reports", "gn", "q"), "4")]),
+    "reports.ladder.rho=str": ("reports.ladder.rho", [(("reports", "ladder", "rho"), "1.0")]),
+}
+DEFECT_IDS = [d[0] for d in DEFECTS] + list(TRUE_AS_ONE) + list(STRING_AS_NUMBER)
+DEFECTS += [*TRUE_AS_ONE.values(), *STRING_AS_NUMBER.values()]
 
 # Every field validate_config owns, each with valid and invalid values.
 FIELDS = {
@@ -254,6 +267,42 @@ def test_negative_values_fail_the_run(tmp_path):
     man = run_scenario(cfg, outdir=str(tmp_path / "run"))
     assert not man["passed"]
     assert man["violations"] == ["negativity -0.049999999999999996 beyond tolerance"]
+
+
+def test_blowup_run_checkpoints_the_blowup_state(tmp_path):
+    # f = u^2 on constant 10 blows up near t = 0.1, long before the first stored window
+    quad = {"name": "quad", "species": 1, "diffusivities": [1.0], "terms": [[[1.0, [2]]]]}
+    cfg = _tiny([(("model",), quad), (("diffusivities",), [1.0]),
+                 (("initial_data",), [{"profile": "constant", "amplitude": 10.0}]),
+                 (("solver",), {"dt": 1e-3, "horizon": 0.5, "store_every": 1000})])
+    man = run_scenario(cfg, outdir=str(tmp_path))  # holder_gamma needs two stored states
+    assert 0.09 < man["blowup_time"] < 0.11
+    assert load_checkpoint(tmp_path / "final_state.csv")[1] == man["blowup_time"]
+    assert "holder.csv" in man["files"]
+
+
+def test_run_builds_the_scenario_once(tmp_path, monkeypatch):
+    calls = []
+    real_build = cli_runner.build_model
+
+    def counting_build(cfg):
+        calls.append(cfg)
+        return real_build(cfg)
+
+    monkeypatch.setattr(cli_runner, "build_model", counting_build)
+    run_scenario(_tiny(), outdir=str(tmp_path))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("verb", ["run", "verify"])
+def test_manifest_lists_every_written_file(tmp_path, verb):
+    if verb == "run":
+        man = run_scenario(_tiny(), outdir=str(tmp_path))
+    else:
+        man = run_verify(["ladder", "bimolecular"], outdir=str(tmp_path))
+    with open(tmp_path / "manifest.json") as fh:
+        assert json.load(fh) == man
+    assert set(man["files"]) == {p.name for p in tmp_path.iterdir()} - {"manifest.json"}
 
 
 def test_run_scenario_manifest(tmp_path):

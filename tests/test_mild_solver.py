@@ -104,6 +104,18 @@ def test_blowup_detection():
     assert detect_blowup(bounded, 100.0) is None
 
 
+@pytest.mark.parametrize("store_every", [13, 1000])
+def test_blowup_window_is_stored(store_every):
+    # the state that crossed the threshold is the last one kept, however thinned
+    g = make_grid(1, 10.0, 8)
+    quad = ReactionModel("quad", 1, (1.0,), lambda u, t: np.stack([u[0] ** 2]))
+    cfg = SolverConfig(dt=1e-3, horizon=0.5, alpha=0.5, store_every=store_every)
+    traj = solve_mild(quad, [Field(g, np.full(g.shape, 10.0))], cfg)
+    assert traj.blowup_time is not None
+    assert traj.times[-1] == traj.blowup_time == traj.step_times[-1]
+    assert np.abs(traj.states[-1]).max() == traj.step_diagnostics.sup_value[-1].max()
+
+
 def test_input_guards():
     g = make_grid(1, 10.0, 8)
     model = dissipative_pair()
