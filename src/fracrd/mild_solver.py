@@ -7,15 +7,17 @@ term is approximated by its exponential trapezoidal weights, which is exact
 for forcings linear in time.  The fixed point of the resulting map is found
 by Picard iteration in the relative sup norm.
 
-The iteration starts from the ETD2 extrapolation (Cox & Matthews 2002), the
-same window with the end-of-window rate extrapolated linearly from this and
-the previous window's start-of-window rates, when the previous window had
-the same dt; otherwise from exponential Euler.  A window whose residual
-stops falling (from the third iteration on), turns non-finite or has not
-converged after PICARD_MAX iterations is rejected and retried with a halved
-step.  After REGROW_AFTER straight windows of at most REGROW_ITERS
-iterations dt doubles again, up to the configured dt.  MAX_HALVINGS bounds
-the depth: dt never falls below cfg.dt / 2**MAX_HALVINGS.
+A window starts from the state, spectrum, rate and sup that the window
+before built in its last Picard iteration; the rate is evaluated at t = 0
+and otherwise only inside the iteration.  The iteration starts from the ETD2
+extrapolation (Cox & Matthews 2002), the end-of-window rate extrapolated
+linearly from this and the previous window's start rates, when the previous
+window had the same dt; otherwise from exponential Euler.  A window whose
+residual stops falling (from the third iteration on), turns non-finite or
+has not converged after PICARD_MAX iterations is rejected and retried from
+the same start with a halved step.  After REGROW_AFTER straight windows of
+at most REGROW_ITERS iterations dt doubles again, up to the configured dt.
+MAX_HALVINGS bounds the depth: dt never falls below cfg.dt / 2**MAX_HALVINGS.
 """
 
 from __future__ import annotations
@@ -117,7 +119,8 @@ class _Stepper:
         except KeyError:
             pass
         d = np.reshape(self.model.d, (-1,) + (1,) * self.grid.dims)
-        w = phi_weights(d * dt * self.lam)  # (E, phi1, phi2), each (m, ...)
+        E, phi1, phi2 = phi_weights(d * dt * self.lam)  # each (m, ...)
+        w = E, dt * phi1, dt * (phi1 - phi2), dt * phi2
         if len(self._cache) < 64:
             self._cache[dt] = w
         return w
@@ -129,31 +132,32 @@ class _Stepper:
             fhat *= self.mask
         return fhat
 
-    def step(self, u: np.ndarray, t: float, dt: float, fhat_prev=None):
-        """One Duhamel window; returns (u_next, iterations, residual, fhat_n),
-        fhat_n the start-of-window rate transform.  fhat_prev, the previous
-        window's, selects the ETD2 predictor; it must come from a window of
-        the same dt."""
-        E, phi1, phi2 = self.weights(dt)
-        uhat = rfft(u, self.grid)
-        fhat_n = self._rates_hat(u, t)
-        base = E * uhat + dt * (phi1 - phi2) * fhat_n
+    def step(self, start, t: float, dt: float, fhat_prev=None):
+        """One Duhamel window from start = (u, uhat, fhat_n, sup |u|); returns
+        (iterations, residual, next start), the last Picard iteration's w, the
+        spectrum it passed to irfft, its rate (taken within PICARD_TOL of w) and
+        sup |w|.  fhat_prev, the previous window's fhat_n, selects the ETD2
+        predictor; it must come from a window of the same dt."""
+        uhat, fhat_n, scale = start[1], start[2], max(start[3], 1e-300)
+        E, dphi1, dphi12, dphi2 = self.weights(dt)
+        base = E * uhat + dphi12 * fhat_n
 
         if fhat_prev is None:  # exponential Euler
-            w = irfft(E * uhat + dt * phi1 * fhat_n, self.grid)
+            w = irfft(E * uhat + dphi1 * fhat_n, self.grid)
         else:  # ETD2: the end-of-window rate extrapolated from the last two starts
-            w = irfft(base + dt * phi2 * (2.0 * fhat_n - fhat_prev), self.grid)
-        scale = max(float(np.max(np.abs(u))), 1e-300)
+            w = irfft(base + dphi2 * (2.0 * fhat_n - fhat_prev), self.grid)
         prev_res = np.inf
         for it in range(1, PICARD_MAX + 1):
             fhat_w = self._rates_hat(w, t + dt)
-            w_new = irfft(base + dt * phi2 * fhat_w, self.grid)
-            if not np.all(np.isfinite(w_new)):
+            what = base + dphi2 * fhat_w
+            w_new = irfft(what, self.grid)
+            sup = float(np.max(np.abs(w_new)))  # NaN or inf iff some entry is
+            if not np.isfinite(sup):
                 raise PicardDivergence(f"non-finite iterate at t={t:.6g}, dt={dt:.3g}")
-            res = float(np.max(np.abs(w_new - w))) / max(scale, float(np.max(np.abs(w_new))))
+            res = float(np.max(np.abs(w_new - w))) / max(scale, sup)
             w = w_new
             if res < PICARD_TOL:
-                return w, it, res, fhat_n
+                return it, res, (w, what, fhat_w, sup)
             if it >= 3 and res >= prev_res:
                 raise PicardDivergence(
                     f"residual stopped falling at iteration {it} ({prev_res:.3g} -> {res:.3g}) "
@@ -187,6 +191,7 @@ def solve_mild(model: ReactionModel, u0, cfg: SolverConfig) -> Trajectory:
     threshold = cfg.blowup_factor * max(sum(stats[0][1].tolist()), 1e-300)  # sum_i sup |u_i|
     stepper = _Stepper(grid, model, cfg.alpha, cfg.dealias)
 
+    start = (u, rfft(u, grid), stepper._rates_hat(u, 0.0), float(np.max(np.abs(u))))
     t = 0.0
     depth = 0  # halvings of cfg.dt in force
     calm = 0  # straight accepted windows of at most REGROW_ITERS iterations
@@ -196,21 +201,21 @@ def solve_mild(model: ReactionModel, u0, cfg: SolverConfig) -> Trajectory:
     while t < cfg.horizon - eps:
         dt_step = min(cfg.dt / 2.0**depth, cfg.horizon - t)
         try:
-            u_next, iters, res, fhat_n = stepper.step(
-                u, t, dt_step, fhat_prev if dt_step == dt_prev else None)
+            iters, res, next_start = stepper.step(
+                start, t, dt_step, fhat_prev if dt_step == dt_prev else None)
         except PicardDivergence:
             if depth >= MAX_HALVINGS:
                 raise
             depth += 1
             calm = 0
             continue
-        dt_prev, fhat_prev = dt_step, fhat_n
+        dt_prev, fhat_prev, start = dt_step, start[2], next_start
         calm = calm + 1 if iters <= REGROW_ITERS else 0
         if calm >= REGROW_AFTER and depth > 0:
             depth -= 1
             calm = 0
         t += dt_step
-        u = u_next
+        u = start[0]
         step_times.append(t)
         iterations.append(iters)
         residuals.append(res)

@@ -12,15 +12,17 @@ from fracrd.errors import InvalidParameter, NegativeInitialData, NonFiniteInput,
 from fracrd.heat_kernel import KernelSpec, semigroup_apply
 from fracrd.mild_solver import (
     MAX_HALVINGS,
+    PICARD_TOL,
     REGROW_AFTER,
     SolverConfig,
+    _Stepper,
     detect_blowup,
     load_checkpoint,
     save_checkpoint,
     solve_mild,
 )
 from fracrd.rds_model import ReactionModel, bimolecular, dissipative_pair
-from fracrd.spectral_core import Field, make_grid
+from fracrd.spectral_core import Field, make_grid, rfft
 
 
 def _bump_fields(g, amps, floor=0.05, width=2.0):
@@ -150,18 +152,35 @@ def test_picard_divergence_after_max_halvings():
     model = ReactionModel("nan", 1, (1.0,), nan_rates)
     with pytest.raises(PicardDivergence, match="non-finite iterate"):
         solve_mild(model, [Field(g, np.full(g.shape, 1.0))], SolverConfig(dt=0.1, horizon=0.2))
-    assert len(calls) == 2 * (MAX_HALVINGS + 1)  # predictor and one Picard iterate per try
+    assert len(calls) == 1 + (MAX_HALVINGS + 1)  # the rate at t = 0, then one iterate per try
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_single_non_finite_rate_value_rejected(bad):
+    # one bad grid point in the rate, from the first Picard iterate on
+    g = make_grid(1, 10.0, 8)
+
+    def rates(u, t):
+        f = np.zeros(u.shape)
+        f[0, 3] = bad if t > 0 else 0.0
+        return f
+
+    model = ReactionModel("bad", 1, (1.0,), rates)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(PicardDivergence, match="non-finite iterate"):
+            solve_mild(model, [Field(g, np.full(g.shape, 1.0))], SolverConfig(dt=0.1, horizon=0.2))
 
 
 def _stalling_first_window():
-    """Zero rates, except on the first try of the first window, where the rate
-    flips sign on every call and the Picard iterates cycle between two states.
-    Returns the model and the times of its rate calls."""
+    """Zero rates, except in the first four calls (the rate at t = 0 and the first
+    try's three iterates), where the rate flips sign on every call and the
+    Picard iterates cycle between two states.  Returns the model and the times
+    of its rate calls."""
     calls = []
 
     def rates(u, t):
         calls.append(t)
-        if calls.count(0.0) > 1:  # from the first window's retry on
+        if len(calls) > 4:  # from the first window's retry on
             return np.zeros(u.shape)
         return np.full(u.shape, (-1.0) ** len(calls))
 
@@ -172,8 +191,9 @@ def test_stalled_window_rejected_early():
     g = make_grid(1, 10.0, 8)
     model, calls = _stalling_first_window()
     solve_mild(model, [Field(g, np.full(g.shape, 10.0))], SolverConfig(dt=0.1, horizon=0.2))
-    # start-of-window rate, three iterates of a constant residual (not PICARD_MAX), retry
-    assert calls[:5] == [0.0, 0.1, 0.1, 0.1, 0.0]
+    # the rate at t = 0, three iterates of a constant residual (not PICARD_MAX), then
+    # the retry's first iterate at dt / 2, from the same start
+    assert calls[:5] == [0.0, 0.1, 0.1, 0.1, 0.05]
 
 
 def test_dt_regrows_after_forced_halving():
@@ -200,7 +220,7 @@ def test_max_halvings_bounds_depth_not_rejection_count():
     cfg = SolverConfig(dt=0.01, horizon=100.0)
     with pytest.raises(PicardDivergence, match=f"dt={cfg.dt / 2**MAX_HALVINGS:.3g}$"):
         solve_mild(ReactionModel("nan", 1, (1.0,), rates), [Field(g, np.full(g.shape, 1.0))], cfg)
-    assert 2000 < len(calls) <= 2000 + 2 * (MAX_HALVINGS + 1)  # two rate calls per try
+    assert 2000 < len(calls) <= 2000 + (MAX_HALVINGS + 1)  # one rate call per try
 
 
 def test_stiff_scenario_at_large_dt_raises_no_warning():
@@ -254,6 +274,43 @@ def test_etd2_predictor_saves_picard_iterations():
     traj = solve_mild(model, u0, SolverConfig(dt=0.01, horizon=1.0, alpha=0.5))
     iters = [d.picard_iterations for d in traj.step_diagnostics[1:]]
     assert len(iters) == 100 and np.mean(iters) < 3.5
+
+
+def test_rate_evaluated_once_per_iteration_plus_initial_data():
+    # no rate evaluation at a window's start: the last iterate's rate carries over
+    g = make_grid(1, 40.0, 64)
+    model = bimolecular().with_diffusivities(README_D)
+    calls = []
+
+    def rates(u, t):
+        calls.append(t)
+        return model.f(u, t)
+
+    counted = ReactionModel("counted", model.m, model.d, rates)
+    u0 = [make_profile(g, spec, None) for spec in README_DATA]
+    traj = solve_mild(counted, u0, SolverConfig(dt=0.02, horizon=1.0, alpha=0.5))
+    rec = traj.step_diagnostics
+    assert len(traj.step_times) == 51  # no rejected window
+    assert len(calls) == 1 + rec.picard_iterations[1:].sum()
+
+
+@pytest.mark.parametrize("dims,points", [(1, 64), (2, 16)])
+@pytest.mark.parametrize("dealias", [True, False])
+def test_step_carries_spectrum_and_rate(dims, points, dealias):
+    g = make_grid(dims, 40.0, points)
+    model = bimolecular().with_diffusivities(README_D)
+    u = np.stack([f.values for f in _bump_fields(g, (1.0, 0.3, 0.8, 0.2))])
+    stepper = _Stepper(g, model, 0.5, dealias)
+    start = (u, rfft(u, g), stepper._rates_hat(u, 0.0), float(np.max(np.abs(u))))
+    fhat_prev = None  # exponential Euler first, then ETD2
+    for k in range(3):
+        _, res, carried = stepper.step(start, 0.05 * k, 0.05, fhat_prev)
+        fhat_prev, start = start[2], carried
+        w, what, fhat_w, sup = carried
+        assert res < PICARD_TOL and sup == np.max(np.abs(w))
+        assert np.max(np.abs(what - rfft(w, g))) <= 1e-13 * np.max(np.abs(what))
+        exact = stepper._rates_hat(w, 0.05 * (k + 1))
+        assert np.max(np.abs(fhat_w - exact)) <= 10 * PICARD_TOL * np.max(np.abs(exact))
 
 
 def test_classical_heat_one_step_consistency():
