@@ -30,6 +30,8 @@ from .errors import (
     OutputUnwritable,
     RhoInadmissible,
     UnknownAxis,
+    as_int,
+    as_real,
 )
 from .mild_solver import SolverConfig, save_checkpoint, solve_mild
 from .rds_model import get_model, polynomial_model
@@ -45,15 +47,6 @@ PROFILES = ("gaussian-bump", "two-bumps", "constant", "random-band-limited")
 # Config loading and validation
 # ----------------------------------------------------------------------
 
-def _as_float(x, name=None) -> float:
-    """x as a float: a JSON number (not a boolean) or the string "inf"."""
-    if isinstance(x, str) and x.lower() in ("inf", "infinity"):
-        return math.inf
-    if not _real(x):
-        raise InvalidParameter(f"must be a number, got {x!r}", name)
-    return float(x)
-
-
 def load_config(path) -> dict:
     """The JSON object in path; raises ConfigInvalid if unreadable or not an object."""
     try:
@@ -67,8 +60,8 @@ def load_config(path) -> dict:
 
 
 def _at(path, build, *args):
-    """build(*args), with an input error it raises turned into ConfigInvalid
-    whose message starts with the config path of the offending value."""
+    """build(*args), with an input error it raises turned into ConfigInvalid whose
+    message starts with the config path of the offending value ("" is the top level)."""
     try:
         return build(*args)
     except ConfigInvalid:
@@ -76,7 +69,7 @@ def _at(path, build, *args):
     except (FracRDError, AttributeError, KeyError, TypeError, ValueError) as e:
         msg = f"missing key {e}" if isinstance(e, KeyError) else str(e)
         if isinstance(e, InvalidParameter) and e.name is not None:
-            path, msg = f"{path}.{e.name}", e.requirement
+            path, msg = f"{path}.{e.name}".lstrip("."), e.requirement
         raise ConfigInvalid([f"{path}: {msg}"]) from None
 
 
@@ -102,8 +95,7 @@ def validate_config(cfg: dict) -> SimpleNamespace:
 
     if cfg.get("schema_version") != SCHEMA_VERSION:
         msgs.append(f"schema_version: expected {SCHEMA_VERSION}")
-    if not (type(cfg.get("seed", 0)) is int and cfg.get("seed", 0) >= 0):
-        msgs.append(f"seed: must be a nonnegative integer, got {cfg.get('seed')!r}")
+    check("", as_int, cfg.get("seed", 0), "seed")
 
     grid = check("grid", _grid, cfg)
     model = check("model", build_model, cfg)
@@ -123,14 +115,9 @@ def validate_config(cfg: dict) -> SimpleNamespace:
         msgs.append("reports: must be an object")
         rep = {}
     for p in check("reports.norm_p", list, rep.get("norm_p", [])) or []:
-        try:
-            if not _as_float(p) >= 1:
-                msgs.append(f"reports.norm_p: exponent {p!r} below 1")
-        except InvalidParameter:
-            msgs.append(f"reports.norm_p: bad exponent {p!r}")
-    weak_p = rep.get("weak_p")
-    if weak_p is not None and not (_real(weak_p) and weak_p >= 1):
-        msgs.append(f"reports.weak_p: must be a real >= 1, got {weak_p!r}")
+        check("reports", _exponent, p, "norm_p")
+    if rep.get("weak_p") is not None:  # finite: the raw value keys the strong norm
+        check("reports", _exponent, rep["weak_p"], "weak_p", True)
     for gamma in check("reports.holder_gamma", list, rep.get("holder_gamma", [])) or []:
         check("reports.holder_gamma", el.check_holder_gamma, gamma)
     sv = gn = ladder = None
@@ -147,17 +134,23 @@ def validate_config(cfg: dict) -> SimpleNamespace:
                            initial_data=init, reports=rep, sv=sv, gn=gn, ladder=ladder)
 
 
+def _exponent(p, name, finite=False):
+    """Raise unless p is a norm exponent: a number >= 1, or "inf" unless finite."""
+    if not as_real(p, name, finite) >= 1:
+        raise InvalidParameter(f"must be >= 1, got {p!r}", name)
+
+
 def _grid(cfg: dict):
     g = cfg["grid"]
-    return make_grid(g["dims"], _as_float(g["extent"], "extent"), g["points"])
+    return make_grid(g["dims"], as_real(g["extent"], "extent"), g["points"])
 
 
 def _solver_config(cfg: dict) -> SolverConfig:
     sol = cfg["solver"]
     return SolverConfig(
-        dt=_as_float(sol["dt"], "dt"),
-        horizon=_as_float(sol["horizon"], "horizon"),
-        alpha=_as_float(sol.get("alpha", 0.5), "alpha"),
+        dt=as_real(sol["dt"], "dt"),
+        horizon=as_real(sol["horizon"], "horizon"),
+        alpha=as_real(sol.get("alpha", 0.5), "alpha"),
         dealias=sol.get("dealias", True),
         store_every=sol.get("store_every", 1),
     )
@@ -168,7 +161,8 @@ def _inline_model(spec: dict):
         k: spec[k] for k in ("rho", "nu", "growth_c") if k in spec
     }
     if "isc_matrix" in spec:
-        meta["isc_matrix"] = np.asarray(spec["isc_matrix"], dtype=float)
+        meta["isc_matrix"] = [[as_real(a, "isc_matrix", finite=True) for a in row]
+                              for row in spec["isc_matrix"]]
     return polynomial_model(
         spec["name"], spec["species"], spec["diffusivities"], spec["terms"], **meta
     )
@@ -184,8 +178,7 @@ def build_model(cfg: dict):
     else:
         raise ConfigInvalid(["model: must be a registry name or inline definition"])
     if cfg.get("diffusivities"):
-        model = _at("diffusivities", lambda d: model.with_diffusivities(map(_as_float, d)),
-                    cfg["diffusivities"])
+        model = _at("", model.with_diffusivities, cfg["diffusivities"])
     return model
 
 
@@ -205,14 +198,6 @@ def _bump(grid, center, width):
     return np.exp(-r2 / (2.0 * width**2))
 
 
-def _real(x) -> bool:
-    return not isinstance(x, bool) and isinstance(x, (int, float))
-
-
-def _finite_real(x) -> bool:
-    return _real(x) and math.isfinite(x)
-
-
 def _check_profile(spec, dims):
     """Raise unless spec is an initial-data entry naming a known profile
     whose keys, where given, hold: amplitude, width and floor nonnegative
@@ -222,20 +207,17 @@ def _check_profile(spec, dims):
     if not isinstance(spec, dict) or spec.get("profile") not in PROFILES:
         raise InvalidParameter(f"must be an object with a profile in {PROFILES}, got {spec!r}")
     for key in ("amplitude", "width", "floor"):
-        x = spec.get(key, 0.0)
-        if not (_finite_real(x) and x >= 0):
-            raise InvalidParameter(f"must be a nonnegative finite real, got {x!r}", key)
+        if as_real(spec.get(key, 0.0), key, finite=True) < 0:
+            raise InvalidParameter(f"must be nonnegative, got {spec[key]!r}", key)
     if spec.get("width") == 0:
         raise InvalidParameter("must be positive, got 0", "width")
-    c = spec.get("center")
-    if c is not None and not (isinstance(c, list) and all(map(_finite_real, c))
-                              and (dims is None or len(c) == dims)):
+    c = spec.get("center", [0.0] * (dims or 0))
+    if not isinstance(c, list) or dims is not None and len(c) != dims:
         raise InvalidParameter(f"must list one finite real per grid axis, got {c!r}", "center")
-    if not _finite_real(spec.get("separation", 0.0)):
-        raise InvalidParameter(f"must be a finite real, got {spec['separation']!r}", "separation")
-    modes = spec.get("modes", 1)
-    if isinstance(modes, bool) or not isinstance(modes, int) or modes < 1:
-        raise InvalidParameter(f"must be an integer >= 1, got {modes!r}", "modes")
+    for x in c:
+        as_real(x, "center", finite=True)
+    as_real(spec.get("separation", 0.0), "separation", finite=True)
+    as_int(spec.get("modes", 1), "modes", lo=1)
 
 
 def make_profile(grid, spec: dict, rng: np.random.Generator) -> Field:
@@ -339,28 +321,20 @@ def _resolve_outdir(explicit, default_name):
 # Inequality checks on random fields, shared by run and verify
 # ----------------------------------------------------------------------
 
-def _field_count(spec: dict) -> int:
-    """The "fields" of a report spec (default 20); raises unless an integer >= 1."""
-    fields = spec.get("fields", 20)
-    if type(fields) is not int or fields < 1:
-        raise InvalidParameter(f"must be an integer >= 1, got {fields!r}", "fields")
-    return fields
-
-
 def _sv_spec(sv: dict):
     """(fields, ells, alphas) of reports.sv; raises unless every gap is defined, fields >= 1."""
-    fields = _field_count(sv)
+    fields = as_int(sv.get("fields", 20), "fields", lo=1)
     ells, alphas = sv.get("ell", [2.0, 3.0, 4.0]), sv.get("alpha", [0.3, 0.5, 0.9])
     for ell in ells:
         for al in alphas:
-            el.check_sv(_as_float(al, "alpha"), _as_float(ell, "ell"))
+            el.check_sv(as_real(al, "alpha"), as_real(ell, "ell"))
     return fields, ells, alphas
 
 
 def _gn_spec(gn: dict, dims: int):
     """(fields, alpha, q) of reports.gn; raises unless the ratio is defined, fields >= 1."""
-    fields = _field_count(gn)
-    el.check_gn(dims, _as_float(gn["alpha"], "alpha"), _as_float(gn["q"], "q"))
+    fields = as_int(gn.get("fields", 20), "fields", lo=1)
+    el.check_gn(dims, as_real(gn["alpha"], "alpha"), as_real(gn["q"], "q"))
     return fields, gn["alpha"], gn["q"]
 
 
@@ -390,8 +364,8 @@ def _gn_rows(grid, rng, fields, alpha, q) -> list:
 
 def _ladder(lad: dict, dims: int, alpha: float):
     return el.duality_ladder(
-        dims, alpha, _as_float(lad.get("rho", 1.0), "rho"),
-        _as_float(lad.get("p0", 2.0), "p0"), _as_float(lad.get("eps_star", 0.0), "eps_star"),
+        dims, alpha, as_real(lad.get("rho", 1.0), "rho"),
+        as_real(lad.get("p0", 2.0), "p0"), as_real(lad.get("eps_star", 0.0), "eps_star"),
     )
 
 
@@ -400,8 +374,12 @@ def _ladder(lad: dict, dims: int, alpha: float):
 # ----------------------------------------------------------------------
 
 def run_scenario(cfg: dict, outdir=None) -> dict:
-    sc = validate_config(cfg)
-    outdir = _resolve_outdir(outdir or cfg.get("output_dir"), "fracrd-run")
+    return _run(validate_config(cfg), outdir or cfg.get("output_dir"))
+
+
+def _run(sc, outdir) -> dict:
+    """Run the validate_config scenario sc; write its reports and manifest to outdir."""
+    outdir = _resolve_outdir(outdir, "fracrd-run")
     grid, model, rep = sc.grid, sc.model, sc.reports
     rng = np.random.default_rng(sc.seed)
     u0 = [make_profile(grid, spec, rng) for spec in sc.initial_data]
@@ -411,7 +389,7 @@ def run_scenario(cfg: dict, outdir=None) -> dict:
     files = ["final_state.csv"]
     violations = []
 
-    norm_p = [_as_float(p) for p in rep.get("norm_p", [2.0])]
+    norm_p = [as_real(p) for p in rep.get("norm_p", [2.0])]
     weak_p = rep.get("weak_p")
     # the weak-versus-strong check needs the strong L^weak_p(Q) norm even
     # when norms.csv does not list weak_p
@@ -493,7 +471,7 @@ def sweep(cfg: dict, axis: str, values, outdir=None) -> list:
     values = list(values)
     if not values:
         raise EmptyValues("sweep needs at least one value")
-    subs, msgs = [], []
+    scenarios, msgs = [], []
     for v in values:
         sub = copy.deepcopy(cfg)
         node = sub
@@ -502,18 +480,16 @@ def sweep(cfg: dict, axis: str, values, outdir=None) -> list:
             node = node.setdefault(key, {})
         # a non-integral point count passes through for make_grid to reject
         node[path[-1]] = int(v) if axis == "points" and float(v).is_integer() else float(v)
-        sub.pop("output_dir", None)
         try:
-            validate_config(sub)
+            scenarios.append(validate_config(sub))
         except ConfigInvalid as e:
             msgs.extend(f"{axis}={v}: {m}" for m in e.messages)
-        subs.append(sub)
     if msgs:
         raise ConfigInvalid(msgs)
     outdir = _resolve_outdir(outdir or cfg.get("output_dir"), "fracrd-sweep")
     rows = []
-    for v, sub in zip(values, subs):
-        man = run_scenario(sub, outdir=os.path.join(outdir, f"{axis}={v}"))
+    for v, sc in zip(values, scenarios):
+        man = _run(sc, os.path.join(outdir, f"{axis}={v}"))
         rows.append([v, man["passed"], len(man["violations"]),
                      man["blowup_time"] if man["blowup_time"] is not None else ""])
     write_csv(outdir, "sweep.csv", [axis, "passed", "violations", "blowup_time"], rows)

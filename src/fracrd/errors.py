@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all fracrd modules."""
+"""Exception hierarchy shared by all fracrd modules, and the number readers."""
+
+import math
 
 
 class FracRDError(Exception):
@@ -14,6 +16,22 @@ class InvalidParameter(FracRDError, ValueError):
         self.name = name
         self.requirement = requirement
         super().__init__(requirement if name is None else f"{name} {requirement}")
+
+
+def as_int(x, name=None, lo=0) -> int:
+    """x when it is an int, not a bool, and at least lo; raises InvalidParameter."""
+    if type(x) is not int or x < lo:
+        raise InvalidParameter(f"must be an integer >= {lo}, got {x!r}", name)
+    return x
+
+
+def as_real(x, name=None, finite=False) -> float:
+    """x as a float: any number but a bool, or "inf" unless finite (then NaN, inf fail)."""
+    if not finite and isinstance(x, str) and x.lower() in ("inf", "infinity"):
+        return math.inf
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or finite and not math.isfinite(x):
+        raise InvalidParameter(f"must be a {'finite ' * finite}number, got {x!r}", name)
+    return float(x)
 
 
 # --- grid / spectral ---------------------------------------------------

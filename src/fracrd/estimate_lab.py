@@ -25,6 +25,7 @@ from .errors import (
     RhoInadmissible,
     TooFewSlices,
     ZeroField,
+    as_real,
 )
 from .mild_solver import Trajectory, phi_weights
 from .spectral_core import Field, FracPower, frac_power, integral, irfft, lp_norm, rfft
@@ -107,8 +108,8 @@ def _wrapped_distance(grid, idx_a, idx_b):
 
 
 def check_holder_gamma(gamma: float):
-    """Raise GammaOutOfRange unless 0 < gamma < 1."""
-    if not (0.0 < gamma < 1.0):
+    """Raise unless gamma is a number in (0, 1)."""
+    if not (0.0 < as_real(gamma) < 1.0):
         raise GammaOutOfRange(f"gamma must lie in (0,1), got {gamma}")
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameter, NegativeInitialData, NonFiniteInput, PicardDivergence
+from .errors import InvalidParameter, NegativeInitialData, NonFiniteInput, PicardDivergence, as_int
 from .rds_model import ReactionModel
 from .spectral_core import Field, Grid, irfft, make_grid, rfft
 
@@ -57,8 +57,7 @@ class SolverConfig:
             raise InvalidParameter(f"must lie in (0, 1], got {self.alpha!r}", "alpha")
         if not isinstance(self.dealias, bool):
             raise InvalidParameter(f"must be a boolean, got {self.dealias!r}", "dealias")
-        if type(self.store_every) is not int or self.store_every < 1:
-            raise InvalidParameter(f"must be an integer >= 1, got {self.store_every!r}", "store_every")
+        as_int(self.store_every, "store_every", lo=1)
 
 
 @dataclass

@@ -22,6 +22,8 @@ from .errors import (
     ModelUnknown,
     NegativeStateBeyondTolerance,
     NonFiniteRate,
+    as_int,
+    as_real,
 )
 
 STATE_TOL = 1e-10  # relative negativity tolerance for rate evaluation
@@ -50,10 +52,15 @@ class ReactionModel:
     growth_c: float | None = None
 
     def __post_init__(self):
-        if len(self.d) != self.m:
-            raise InvalidParameter(f"need one diffusivity per species ({self.m})")
-        if not all(0.0 < di < np.inf for di in self.d):
-            raise InvalidParameter(f"diffusivities must be positive and finite, got {self.d}")
+        if not np.iterable(self.d) or len(self.d) != self.m:
+            raise InvalidParameter(f"must have {self.m} entries, got {self.d!r}", "diffusivities")
+        d = tuple(as_real(di, "diffusivities", finite=True) for di in self.d)
+        if not all(di > 0.0 for di in d):
+            raise InvalidParameter(f"must be positive, got {self.d!r}", "diffusivities")
+        object.__setattr__(self, "d", d)
+        for key in ("rho", "nu", "growth_c"):
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, as_real(getattr(self, key), key, finite=True))
         if self.isc_matrix is not None:
             a = np.asarray(self.isc_matrix, dtype=float)
             if a.shape != (self.m, self.m):
@@ -67,7 +74,7 @@ class ReactionModel:
             object.__setattr__(self, "isc_matrix", a)
 
     def with_diffusivities(self, d) -> "ReactionModel":
-        return replace(self, d=tuple(float(x) for x in d))
+        return replace(self, d=d)
 
 
 @dataclass
@@ -251,12 +258,12 @@ def polynomial_model(name, species, diffusivities, terms, **meta) -> ReactionMod
     terms[i] is a list of (coef, powers) pairs; powers is an m-vector of
     integer exponents.  f_i(u) = sum coef * prod_j u_j^powers_j.
     """
-    m = int(species)
+    m = as_int(species, "species", lo=1)
     if len(terms) != m or any(len(pw) != m or any(type(e) is not int or e < 0 for e in pw)
                               for ti in terms for _, pw in ti):
         raise InvalidParameter(f"must hold {m} term lists, each power vector {m} "
                                "nonnegative integers", "terms")
-    terms = [[(float(c), tuple(pw)) for c, pw in ti] for ti in terms]
+    terms = [[(as_real(c, "terms", finite=True), tuple(pw)) for c, pw in ti] for ti in terms]
 
     def rates(u, t):
         out = []
@@ -271,9 +278,7 @@ def polynomial_model(name, species, diffusivities, terms, **meta) -> ReactionMod
             out.append(acc)
         return np.stack(out)
 
-    return ReactionModel(
-        name=name, m=m, d=tuple(float(x) for x in diffusivities), f=rates, **meta
-    )
+    return ReactionModel(name=name, m=m, d=diffusivities, f=rates, **meta)
 
 
 _REGISTRY = {

@@ -86,9 +86,9 @@ class Grid:
 
 def make_grid(dims: int, extent: float, points: int) -> Grid:
     """Build a periodic Grid; validates dims, power-of-two size, memory."""
-    if not isinstance(dims, int) or dims not in (1, 2, 3):
+    if type(dims) is not int or dims not in (1, 2, 3):
         raise InvalidDims(f"must be 1, 2 or 3, got {dims!r}", "dims")
-    if not isinstance(points, int) or points < 8 or points & (points - 1):
+    if type(points) is not int or points < 8 or points & (points - 1):
         raise NotPowerOfTwo(f"must be a power of two >= 8, got {points!r}", "points")
     if not 0.0 < extent < math.inf:
         raise InvalidDims(f"must be a positive finite real, got {extent!r}", "extent")

@@ -121,8 +121,28 @@ STRING_AS_NUMBER = {
     "reports.gn.q=str": ("reports.gn.q", [(("reports", "gn", "q"), "4")]),
     "reports.ladder.rho=str": ("reports.ladder.rho", [(("reports", "ladder", "rho"), "1.0")]),
 }
-DEFECT_IDS = [d[0] for d in DEFECTS] + list(TRUE_AS_ONE) + list(STRING_AS_NUMBER)
-DEFECTS += [*TRUE_AS_ONE.values(), *STRING_AS_NUMBER.values()]
+
+
+def _pair(**changes):
+    """Mutations that put PAIR, with changes, in place of the model."""
+    return [(("model",), dict(PAIR, **changes)), (("diffusivities",), [1.0, 1.0]),
+            (("initial_data",), PAIR_DATA)]
+
+
+# grid, inline-model and gamma values that used to be misread or misreported, keyed by test id
+MISREAD = {
+    "grid.dims=true": ("grid.dims", [(("grid", "dims"), True)]),
+    "model.species=str": ("model.species", _pair(species="2")),
+    "model.species=2.9": ("model.species", _pair(species=2.9)),
+    "model.terms=str": ("model.terms", _pair(terms=[[["-1.0", [1, 1]]], [[-1.0, [1, 1]]]])),
+    "model.terms=true": ("model.terms", _pair(terms=[[[True, [1, 1]]], [[-1.0, [1, 1]]]])),
+    "model.diffusivities=str,true": ("model.diffusivities", _pair(diffusivities=["1.0", True])),
+    "model.rho=str": ("model.rho", _pair(rho="abc")),
+    "model.isc_matrix=str,true": ("model.isc_matrix", _pair(isc_matrix=[["1", 0], [0, True]])),
+    "reports.holder_gamma=str": ("reports.holder_gamma", [(("reports", "holder_gamma"), ["x"])]),
+}
+DEFECT_IDS = [d[0] for d in DEFECTS] + list(TRUE_AS_ONE) + list(STRING_AS_NUMBER) + list(MISREAD)
+DEFECTS += [*TRUE_AS_ONE.values(), *STRING_AS_NUMBER.values(), *MISREAD.values()]
 
 # Every field validate_config owns, each with valid and invalid values.
 FIELDS = {
@@ -210,6 +230,12 @@ def test_config_defects_fail_before_solve(tmp_path, monkeypatch, capsys, path, m
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
+def test_non_numeric_gamma_message_names_the_rule():
+    with pytest.raises(ConfigInvalid) as exc:
+        validate_config(_tiny([(("reports", "holder_gamma"), [0.5, "x"])]))
+    assert exc.value.messages == ["reports.holder_gamma: must be a number, got 'x'"]
+
+
 @settings(max_examples=100, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(mutations=st.lists(st.sampled_from([(k, v) for k, vs in FIELDS.items() for v in vs]),
@@ -292,6 +318,42 @@ def test_run_builds_the_scenario_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli_runner, "build_model", counting_build)
     run_scenario(_tiny(), outdir=str(tmp_path))
     assert len(calls) == 1
+
+
+def test_sweep_builds_each_scenario_once(tmp_path, monkeypatch):
+    calls = []
+    real_build = cli_runner.build_model
+
+    def counting_build(cfg):
+        calls.append(cfg)
+        return real_build(cfg)
+
+    monkeypatch.setattr(cli_runner, "build_model", counting_build)
+    sweep(_tiny(), "alpha", [0.5, 0.75], outdir=str(tmp_path))
+    assert len(calls) == 2
+
+
+# cli_runner globals the benchmark harness (bench/tracer.py) wraps by name; a
+# call that bypasses the module global leaves its traced time at zero
+BENCH_TRACED = ("solve_mild", "save_checkpoint", "make_profile", "validate_config",
+                "build_model", "get_model")
+
+
+def test_bench_hooks_are_module_globals(tmp_path, monkeypatch):
+    # bench/worker.py reads these directly
+    assert callable(cli_runner.load_config)
+    assert {"kernel", "inequalities", "ladder", "bimolecular"} <= set(cli_runner.SUITES)
+    calls = set()
+
+    def traced(mod, name):
+        real = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, **k: calls.add(name) or real(*a, **k))
+
+    for name in BENCH_TRACED:
+        traced(cli_runner, name)
+    traced(el, "frac_power")
+    run_scenario(_tiny(), outdir=str(tmp_path))
+    assert calls == {*BENCH_TRACED, "frac_power"}
 
 
 @pytest.mark.parametrize("verb", ["run", "verify"])
