@@ -157,12 +157,7 @@ def _solver_config(cfg: dict) -> SolverConfig:
 
 
 def _inline_model(spec: dict):
-    meta = {
-        k: spec[k] for k in ("rho", "nu", "growth_c") if k in spec
-    }
-    if "isc_matrix" in spec:
-        meta["isc_matrix"] = [[as_real(a, "isc_matrix", finite=True) for a in row]
-                              for row in spec["isc_matrix"]]
+    meta = {k: spec[k] for k in ("rho", "nu", "growth_c", "isc_matrix") if k in spec}
     return polynomial_model(
         spec["name"], spec["species"], spec["diffusivities"], spec["terms"], **meta
     )
@@ -188,13 +183,7 @@ def build_model(cfg: dict):
 
 def _bump(grid, center, width):
     """exp(-|x - center|^2 / (2 width^2)), |x - center| the periodic distance."""
-    coords = grid.coord_arrays()
-    L = grid.extent
-    r2 = np.zeros(grid.shape)
-    for ax in range(grid.dims):
-        d = np.abs(coords[ax] - center[ax])
-        d = np.minimum(d, L - d)
-        r2 += d * d
+    r2 = grid.wrapped_r2(x - c for x, c in zip(grid.coord_arrays(), center))
     return np.exp(-r2 / (2.0 * width**2))
 
 

@@ -92,21 +92,6 @@ RANDOM_PAIR_COUNT = 100_000
 MAX_HOLDER_SLICES = 16
 
 
-def _wrapped_distance(grid, idx_a, idx_b):
-    """Periodic Euclidean distance between two flat node index arrays."""
-    h = grid.spacing
-    L = grid.extent
-    n = grid.points_per_axis
-    a = np.unravel_index(idx_a, grid.shape)
-    b = np.unravel_index(idx_b, grid.shape)
-    d2 = np.zeros(np.shape(idx_a))
-    for ax in range(grid.dims):
-        dx = np.abs(a[ax] - b[ax]) * h
-        dx = np.minimum(dx, L - dx)
-        d2 += dx * dx
-    return np.sqrt(d2)
-
-
 def check_holder_gamma(gamma: float):
     """Raise unless gamma is a number in (0, 1)."""
     if not (0.0 < as_real(gamma) < 1.0):
@@ -139,7 +124,8 @@ def holder_seminorm(vtraj: VDiagnostics, gamma: float, seed: int = 0):
         ib = rng.integers(0, nn, RANDOM_PAIR_COUNT)
         keep = ia != ib
         ia, ib = ia[keep], ib[keep]
-    dist = _wrapped_distance(grid, ia, ib) ** gamma
+    dist = np.sqrt(grid.wrapped_r2((i - j) * grid.spacing for i, j in zip(
+        np.unravel_index(ia, grid.shape), np.unravel_index(ib, grid.shape)))) ** gamma
 
     space = 0.0
     for k in picks:

@@ -5,7 +5,9 @@ rate map, and declared metadata for the structural assumptions:
 quasi-positivity, mass dissipation/conservation, quadratic growth, the
 triangular intermediate sum condition, and the polynomial upper bound.
 Checks are falsification-only: a passing report means no violation was
-found among the sampled states.
+found among the sampled states.  Each check draws all its samples at once
+and evaluates the rate map once per hypothesis on the stacked (m, count)
+states (m times for quasi-positivity, one species zeroed in each).
 """
 
 from __future__ import annotations
@@ -62,15 +64,18 @@ class ReactionModel:
             if getattr(self, key) is not None:
                 object.__setattr__(self, key, as_real(getattr(self, key), key, finite=True))
         if self.isc_matrix is not None:
-            a = np.asarray(self.isc_matrix, dtype=float)
-            if a.shape != (self.m, self.m):
-                raise InvalidParameter("ISC matrix must be m x m")
+            rows = self.isc_matrix
+            if not np.iterable(rows) or len(rows) != self.m or any(
+                    not np.iterable(row) or len(row) != self.m for row in rows):
+                raise InvalidParameter(f"must be {self.m} rows of {self.m} numbers, got {rows!r}",
+                                       "isc_matrix")
+            a = np.array([[as_real(x, "isc_matrix", finite=True) for x in row] for row in rows])
             if not np.allclose(np.triu(a, 1), 0.0):
-                raise InvalidParameter("ISC matrix must be lower triangular")
+                raise InvalidParameter("must be lower triangular", "isc_matrix")
             if not np.allclose(np.diag(a), 1.0):
-                raise InvalidParameter("ISC matrix must have unit diagonal")
+                raise InvalidParameter("must have unit diagonal", "isc_matrix")
             if np.any(a < 0):
-                raise InvalidParameter("ISC matrix entries must be nonnegative")
+                raise InvalidParameter("must have nonnegative entries", "isc_matrix")
             object.__setattr__(self, "isc_matrix", a)
 
     def with_diffusivities(self, d) -> "ReactionModel":
@@ -102,20 +107,11 @@ def eval_reactions(model: ReactionModel, state, t: float = 0.0):
     return rates
 
 
-def default_sampler(m: int, rng: np.random.Generator):
-    """Nonnegative states with magnitudes spanning 0 to 1e3, some zeros."""
-    while True:
-        mag = 10.0 ** rng.uniform(-3, 3)
-        u = mag * rng.uniform(0.0, 1.0, size=m)
-        u[rng.random(m) < 0.2] = 0.0
-        yield u
-
-
 def check_assumption(model, which: Assumption, count: int = 200, tol: float = 1e-9) -> AssumptionReport:
-    """Sample states and hunt for violations of one structural assumption."""
-    if count < 1:
-        raise InvalidParameter(f"must be >= 1, got {count}", "count")
-    gen = default_sampler(model.m, np.random.default_rng(0))
+    """Hunt for violations of one structural assumption at count nonnegative
+    states (magnitudes 0 to 1e3, about a fifth of entries zero), all drawn at
+    once; the witnesses are (state list, value) pairs in sample order."""
+    count = as_int(count, "count", lo=1)
     if which in (Assumption.QUADRATIC, Assumption.POL) and model.growth_c is None:
         raise MissingMeta(f"{which.value} check requires a declared constant C")
     if which == Assumption.ISC:
@@ -123,53 +119,47 @@ def check_assumption(model, which: Assumption, count: int = 200, tol: float = 1e
             raise MissingMeta("ISC check requires isc_matrix and rho metadata")
     if which == Assumption.POL and model.nu is None:
         raise MissingMeta("Pol check requires the exponent nu")
+    if not isinstance(which, Assumption):
+        raise InvalidParameter(f"unknown assumption {which}")
 
-    report = AssumptionReport(assumption=which, samples_tested=0)
-    for _ in range(count):
-        u = np.asarray(next(gen), dtype=float)
-        report.samples_tested += 1
-        scale = max(float(np.max(u)), 1.0)
+    m = model.m
+    # drawn as (count, 2m + 1) so each sample's draws stay consecutive in the stream
+    draws = np.random.default_rng(0).random((count, 2 * m + 1)).T
+    u = 10.0 ** (-3.0 + 6.0 * draws[0]) * draws[1 : m + 1]
+    u[draws[m + 1 :] < 0.2] = 0.0
+    scale = np.maximum(np.max(u, axis=0), 1.0)
+    sq = np.sum(u * u, axis=0)
 
-        if which == Assumption.P:
-            for i in range(model.m):
-                ui0 = u.copy()
-                ui0[i] = 0.0
-                fi = float(eval_reactions(model, ui0)[i])
-                if fi < -tol * scale:
-                    report.violations.append((ui0.tolist(), fi))
-        elif which == Assumption.M:
-            s = float(np.sum(eval_reactions(model, u)))
-            if s > tol * scale**2:
-                report.violations.append((u.tolist(), s))
+    if which == Assumption.P:
+        states = np.repeat(u[None], m, axis=0)
+        states[np.arange(m), np.arange(m)] = 0.0  # states[i] has species i zeroed
+        value = np.stack([eval_reactions(model, ui0)[i] for i, ui0 in enumerate(states)])
+        bad = value < -tol * scale
+    else:
+        f = eval_reactions(model, u)
+        if which == Assumption.M:
+            value = np.sum(f, axis=0, keepdims=True)
+            bad = value > tol * scale**2
         elif which == Assumption.CONSERVATION:
-            s = float(np.sum(eval_reactions(model, u)))
-            if abs(s) > tol * scale**2:
-                report.violations.append((u.tolist(), s))
+            value = np.sum(f, axis=0, keepdims=True)
+            bad = np.abs(value) > tol * scale**2
         elif which == Assumption.QUADRATIC:
-            f = eval_reactions(model, u)
-            bound = model.growth_c * (1.0 + float(np.dot(u, u)))
-            worst = float(np.max(np.abs(f)))
-            if worst > bound * (1.0 + tol):
-                report.violations.append((u.tolist(), worst))
+            value = np.max(np.abs(f), axis=0, keepdims=True)
+            bad = value > model.growth_c * (1.0 + sq) * (1.0 + tol)
         elif which == Assumption.ISC:
-            f = eval_reactions(model, u)
             c = model.growth_c if model.growth_c is not None else 1.0
-            mag = float(np.linalg.norm(u))
-            bound = c * mag**model.rho
-            for i in range(model.m - 1):
-                comb = float(np.dot(model.isc_matrix[i, : i + 1], f[: i + 1]))
-                if comb > bound + tol * max(scale**model.rho, 1.0):
-                    report.violations.append((u.tolist(), comb))
-        elif which == Assumption.POL:
-            f = eval_reactions(model, u)
-            mag = float(np.linalg.norm(u))
-            bound = model.growth_c * mag**model.nu
-            worst = float(np.max(f))
-            if worst > bound + tol * max(scale**model.nu, 1.0):
-                report.violations.append((u.tolist(), worst))
-        else:
-            raise InvalidParameter(f"unknown assumption {which}")
-    return report
+            # row i combines f_1..f_i; tril drops the upper entries validation tolerates
+            value = (np.tril(model.isc_matrix) @ f)[:-1]
+            bad = value > c * np.sqrt(sq) ** model.rho + tol * np.maximum(scale**model.rho, 1.0)
+        else:  # Assumption.POL
+            value = np.max(f, axis=0, keepdims=True)
+            bound = model.growth_c * np.sqrt(sq) ** model.nu
+            bad = value > bound + tol * np.maximum(scale**model.nu, 1.0)
+        states = np.broadcast_to(u, (len(value), m, count))
+
+    k, r = np.nonzero(bad.T)  # sample-major, the order the witnesses are listed in
+    return AssumptionReport(which, count, [(s.tolist(), float(v)) for s, v in
+                                           zip(states[r, :, k], value[r, k])])
 
 
 def conservative_lift(model: ReactionModel, count: int = 200) -> ReactionModel:
@@ -259,10 +249,16 @@ def polynomial_model(name, species, diffusivities, terms, **meta) -> ReactionMod
     integer exponents.  f_i(u) = sum coef * prod_j u_j^powers_j.
     """
     m = as_int(species, "species", lo=1)
-    if len(terms) != m or any(len(pw) != m or any(type(e) is not int or e < 0 for e in pw)
-                              for ti in terms for _, pw in ti):
-        raise InvalidParameter(f"must hold {m} term lists, each power vector {m} "
-                               "nonnegative integers", "terms")
+    seq = (list, tuple)
+
+    def is_pair(t):  # (coef, powers), powers m nonnegative ints
+        return (isinstance(t, seq) and len(t) == 2 and isinstance(t[1], seq) and len(t[1]) == m
+                and all(type(e) is int and e >= 0 for e in t[1]))
+
+    if not isinstance(terms, seq) or len(terms) != m or not all(
+            isinstance(ti, seq) and all(map(is_pair, ti)) for ti in terms):
+        raise InvalidParameter(f"must hold {m} lists of (coef, powers) pairs, each power "
+                               f"vector {m} nonnegative integers", "terms")
     terms = [[(as_real(c, "terms", finite=True), tuple(pw)) for c, pw in ti] for ti in terms]
 
     def rates(u, t):

@@ -64,6 +64,11 @@ class Grid:
         x = self.axis_coords()
         return list(np.meshgrid(*([x] * self.dims), indexing="ij"))
 
+    def wrapped_r2(self, deltas):
+        """Squared periodic distance: the sum over axes of min(|d|, L - |d|)^2
+        for the per-axis coordinate differences d in deltas."""
+        return sum(np.minimum(d, self.extent - d) ** 2 for d in map(np.abs, deltas))
+
     def radius_squared(self) -> np.ndarray:
         """|x|^2 at every node (periodic coordinates, origin at index 0)."""
         return next(image_r2(self, 0))

@@ -139,6 +139,10 @@ MISREAD = {
     "model.diffusivities=str,true": ("model.diffusivities", _pair(diffusivities=["1.0", True])),
     "model.rho=str": ("model.rho", _pair(rho="abc")),
     "model.isc_matrix=str,true": ("model.isc_matrix", _pair(isc_matrix=[["1", 0], [0, True]])),
+    "model.terms=short": ("model.terms", _pair(terms=[[[-1.0]], [[-1.0, [1, 1]]]])),
+    "model.terms=int": ("model.terms", _pair(terms=3)),
+    "model.isc_matrix=int": ("model.isc_matrix", _pair(isc_matrix=3)),
+    "model.isc_matrix=ragged": ("model.isc_matrix", _pair(isc_matrix=[[1.0], [0.0, 1.0]])),
     "reports.holder_gamma=str": ("reports.holder_gamma", [(("reports", "holder_gamma"), ["x"])]),
 }
 DEFECT_IDS = [d[0] for d in DEFECTS] + list(TRUE_AS_ONE) + list(STRING_AS_NUMBER) + list(MISREAD)
