@@ -99,7 +99,13 @@ class DissipationViolated(FracRDError):
 
 # --- mild solver -------------------------------------------------------
 class PicardDivergence(FracRDError):
-    pass
+    """A rejected Picard window: ``reason`` is "non-finite", "stalled" or
+    "max-iterations"; ``iterations`` is the iteration it stopped at and
+    ``residual`` that iteration's relative change (NaN when non-finite)."""
+
+    def __init__(self, message, iterations=None, residual=None, reason=None):
+        super().__init__(message)
+        self.iterations, self.residual, self.reason = iterations, residual, reason
 
 
 class NegativeInitialData(FracRDError):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -79,9 +80,16 @@ class Grid:
         full, half = np.fft.fftfreq(n, d), np.fft.rfftfreq(n, d)
         return np.meshgrid(*[full] * (self.dims - 1), half, indexing="ij")
 
+    @cached_property
+    def _wavenumbers_squared(self) -> np.ndarray:
+        ksq = sum((2.0 * np.pi * f) ** 2 for f in self._spectral_mesh(self.spacing))
+        ksq.setflags(write=False)
+        return ksq
+
     def wavenumbers_squared(self) -> np.ndarray:
-        """|xi|^2 on the rfftn-layout spectral grid, xi_j = 2*pi*j/L."""
-        return sum((2.0 * np.pi * f) ** 2 for f in self._spectral_mesh(self.spacing))
+        """|xi|^2 on the rfftn-layout spectral grid, xi_j = 2*pi*j/L; built once
+        per grid and read-only."""
+        return self._wavenumbers_squared
 
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask on the rfftn spectral layout: |j| <= n/3 on every axis."""

@@ -7,11 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fracrd import mild_solver
 from fracrd.cli_runner import make_profile
 from fracrd.errors import InvalidParameter, NegativeInitialData, NonFiniteInput, PicardDivergence
 from fracrd.heat_kernel import KernelSpec, semigroup_apply
 from fracrd.mild_solver import (
     MAX_HALVINGS,
+    PICARD_MAX,
     PICARD_TOL,
     REGROW_AFTER,
     SolverConfig,
@@ -41,6 +43,7 @@ README_DATA = [
 ]
 README_D = (1.0, 0.7, 1.3, 0.9)
 SELFCONV_ERR_002 = 2.9084598780417093e-06  # dt = 0.02 error of the exponential-Euler-predicted solver
+STIFF_ERR_002 = 6.66097515744605e-06  # dt = 0.02 stiff-scenario error of the solver at PICARD_TOL 1e-10
 
 
 def test_pure_diffusion_matches_semigroup():
@@ -171,6 +174,36 @@ def test_single_non_finite_rate_value_rejected(bad):
             solve_mild(model, [Field(g, np.full(g.shape, 1.0))], SolverConfig(dt=0.1, horizon=0.2))
 
 
+def _rejected_window(rates, dt=0.1):
+    """The PicardDivergence of one window from the constant state 1 on 8 points."""
+    g = make_grid(1, 10.0, 8)
+    stepper = _Stepper(g, ReactionModel("one", 1, (1.0,), rates), 0.5, False)
+    u = np.full((1,) + g.shape, 1.0)
+    with pytest.raises(PicardDivergence) as info:
+        stepper.step((u, rfft(u, g), stepper._rates_hat(u, 0.0), 1.0), 0.0, dt)
+    return info.value
+
+
+def test_divergence_reason_non_finite():
+    e = _rejected_window(lambda u, t: np.full(u.shape, np.nan))
+    assert (e.reason, e.iterations) == ("non-finite", 1) and math.isnan(e.residual)
+
+
+def test_divergence_reason_stalled():
+    e = _rejected_window(_stalling_first_window()[0].f)
+    assert (e.reason, e.iterations) == ("stalled", 3)
+    assert e.residual > PICARD_TOL and f"-> {e.residual:.3g})" in str(e)
+
+
+def test_divergence_reason_max_iterations():
+    # on a constant state the Picard map is w -> 0.1 - 0.9 w at dt = 1: the
+    # residual falls by 0.9 per iteration, from 1.62 after the first
+    e = _rejected_window(lambda u, t: -1.8 * u, dt=1.0)
+    assert (e.reason, e.iterations) == ("max-iterations", PICARD_MAX)
+    assert e.residual == pytest.approx(1.62 * 0.9 ** (PICARD_MAX - 1), rel=1e-9)
+    assert f"(last residual {e.residual:.3g})" in str(e)
+
+
 def _stalling_first_window():
     """Zero rates, except in the first four calls (the rate at t = 0 and the first
     try's three iterates), where the rate flips sign on every call and the
@@ -264,6 +297,23 @@ def test_self_convergence_on_readme_scenario():
                   for dt in (0.02, 0.01))
     assert 1.9 <= math.log2(e002 / e001) <= 2.1
     assert e002 <= 1.1 * SELFCONV_ERR_002
+
+
+def test_stiff_scenario_error_against_tight_reference(monkeypatch):
+    # the rejection path: the self-convergence reference above moves with
+    # PICARD_TOL, this one is solved at dt / 16 and PICARD_TOL 1e-12
+    g = make_grid(1, 40.0, 64)
+    model = bimolecular().with_diffusivities(README_D)
+    u0 = [make_profile(g, dict(spec, amplitude=50.0 * spec["amplitude"]), None)
+          for spec in README_DATA]
+    cfg = SolverConfig(dt=0.02, horizon=1.0, alpha=0.5, store_every=10**6)
+    traj = solve_mild(model, u0, cfg)
+    monkeypatch.setattr(mild_solver, "PICARD_TOL", 1e-12)
+    ref = solve_mild(model, u0, SolverConfig(dt=cfg.dt / 16, horizon=1.0, alpha=0.5,
+                                             store_every=10**6)).states[-1]
+    err = float(np.max(np.abs(traj.states[-1] - ref)) / np.max(np.abs(ref)))
+    assert err <= 1.1 * STIFF_ERR_002
+    assert np.min(np.diff(traj.step_times)) < cfg.dt  # some window was rejected
 
 
 def test_etd2_predictor_saves_picard_iterations():

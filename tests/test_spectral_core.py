@@ -48,6 +48,18 @@ def test_grid_2d():
     assert ksq[1, 0] == pytest.approx((2 * np.pi / 40.0) ** 2, rel=1e-14)
 
 
+@pytest.mark.parametrize("dims,points", [(1, 64), (2, 16), (3, 8)])
+def test_wavenumbers_squared_built_once_read_only(dims, points):
+    g = make_grid(dims, 40.0, points)
+    ksq = g.wavenumbers_squared()
+    full, half = np.fft.fftfreq(points, g.spacing), np.fft.rfftfreq(points, g.spacing)
+    mesh = np.meshgrid(*[full] * (dims - 1), half, indexing="ij")
+    uncached = sum((2.0 * np.pi * f) ** 2 for f in mesh)
+    assert ksq.shape == uncached.shape and ksq.tobytes() == uncached.tobytes()
+    assert g.wavenumbers_squared() is ksq
+    assert not ksq.flags.writeable
+
+
 @pytest.mark.parametrize("bad", [(1, 2 * np.pi, 63), (1, 2 * np.pi, 4)])
 def test_grid_not_power_of_two(bad):
     with pytest.raises(NotPowerOfTwo):
