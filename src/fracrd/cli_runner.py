@@ -332,10 +332,9 @@ def _sv_rows(grid, rng, fields, ells, alphas, bad) -> list:
     [field, ell, alpha, gap] per gap, and a violation in bad per negative gap."""
     rows = []
     for k in range(fields):
-        fld = random_band_limited(grid, rng)
-        for ell in ells:
-            for al in alphas:
-                gap = el.stroock_varopoulos_gap(fld, float(al), float(ell))
+        gaps = el.stroock_varopoulos_gaps(random_band_limited(grid, rng), alphas, ells)
+        for ell, row in zip(ells, gaps.tolist()):
+            for al, gap in zip(alphas, row):
                 rows.append([k, ell, al, gap])
                 if gap < -1e-8 * max(abs(gap), 1.0):
                     bad.append(f"SV gap {gap} at field {k}, ell={ell}, alpha={al}")

@@ -19,6 +19,7 @@ from .errors import (
     EmptyTrajectory,
     GammaOutOfRange,
     InvalidParameter,
+    NonFiniteInput,
     NonUniformTimeGrid,
     P0TooSmall,
     QOutOfRange,
@@ -28,7 +29,7 @@ from .errors import (
     as_real,
 )
 from .mild_solver import Trajectory, phi_weights
-from .spectral_core import Field, FracPower, frac_power, integral, irfft, lp_norm, rfft
+from .spectral_core import Field, FracPower, frac_power, irfft, lp_norm, rfft
 
 
 # ----------------------------------------------------------------------
@@ -155,19 +156,41 @@ def check_sv(alpha: float, ell: float):
     FracPower(alpha)
 
 
-def stroock_varopoulos_gap(v: Field, alpha: float, ell: float) -> float:
-    """int |v|^(l-2) v (-Dl)^a v dx - 4(l-1)/l^2 * int |(-Dl)^(a/2) |v|^(l/2)|^2 dx."""
-    check_sv(alpha, ell)
-    lhs_integrand = np.abs(v.values) ** (ell - 2.0) * v.values
-    lhs = integral(Field(v.grid, lhs_integrand * frac_power(v, FracPower(alpha)).values))
+def _signed_power(x: np.ndarray, p: float) -> np.ndarray:
+    """|x|^p x, kept as x (a signed zero) at zero nodes, where p < 0 gives 0^p * 0 = NaN."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x == 0.0, x, np.abs(x) ** p * x)
+
+
+def stroock_varopoulos_gaps(v: Field, alphas, ells) -> np.ndarray:
+    """int |v|^(l-2) v (-Dl)^a v dx - 4(l-1)/l^2 * int |(-Dl)^(a/2) |v|^(l/2)|^2 dx
+    at every (ell, alpha), shape (len(ells), len(alphas)).
+
+    One transform of v and one of the stacked signed powers serve every gap,
+    each followed by one batched inverse transform.  Every pair is checked,
+    and v must be finite, before any transform.
+    """
+    alphas, ells = [float(a) for a in alphas], [float(ell) for ell in ells]
+    for ell in ells:
+        for al in alphas:
+            check_sv(al, ell)
+    v.require_finite()
+    grid, x = v.grid, v.values
+    ksq, space, vol = grid.wavenumbers_squared(), tuple(range(-grid.dims, 0)), grid.cell_volume
+    lap = irfft(rfft(x, grid) * np.stack([ksq**al for al in alphas]), grid)
+    lhs = np.stack([np.sum(_signed_power(x, ell - 2.0) * lap, axis=space) for ell in ells])
     # signed power |v|^(l/2 - 1) v: equals |v|^(l/2) on the nonnegative cone
     # and makes the l = 2 case collapse to Parseval equality for signed v too
-    half = frac_power(
-        Field(v.grid, np.abs(v.values) ** (ell / 2.0 - 1.0) * v.values),
-        FracPower(alpha / 2.0),
-    )
-    rhs = integral(Field(v.grid, half.values**2))
-    return lhs - (4.0 * (ell - 1.0) / ell**2) * rhs
+    powers = rfft(np.stack([_signed_power(x, ell / 2.0 - 1.0) for ell in ells]), grid)
+    half = irfft(powers[:, None] * np.stack([ksq ** (al / 2.0) for al in alphas]), grid)
+    rhs = np.sum(np.square(half, out=half), axis=space)
+    coef = np.array([4.0 * (ell - 1.0) / ell**2 for ell in ells])[:, None]
+    return vol * lhs - coef * (vol * rhs)
+
+
+def stroock_varopoulos_gap(v: Field, alpha: float, ell: float) -> float:
+    """The SV gap of v at one (ell, alpha); see stroock_varopoulos_gaps."""
+    return float(stroock_varopoulos_gaps(v, [alpha], [ell])[0, 0])
 
 
 def gn_theta(dims: int, alpha: float, q: float) -> float:
@@ -211,8 +234,14 @@ def _forced_history(fhat, dt, E, phi1, phi2) -> np.ndarray:
     trapezoidal rule u[k+1] = E u[k] + dt((phi1 - phi2) f[k] + phi2 f[k+1])."""
     g = dt * ((phi1 - phi2) * fhat[:-1] + phi2 * fhat[1:])
     u = np.zeros_like(fhat)
-    for k in range(len(g)):
-        u[k + 1] = E * u[k] + g[k]
+    # E in u's dtype once, so no step pays numpy's buffered float -> complex
+    # cast; the steps are bound by ufunc call overhead, hence local names and
+    # positional out arguments
+    E = E.astype(u.dtype)
+    multiply, add = np.multiply, np.add
+    for gk, uk, uk1 in zip(g, u, u[1:]):
+        multiply(E, uk, uk1)
+        add(uk1, gk, uk1)
     return u
 
 
@@ -235,6 +264,8 @@ def maximal_reg_ratio(f_traj, times, alpha: float, mu: float, grid) -> float:
     f = np.asarray(f_traj, dtype=float)
     if f.shape != (len(times),) + grid.shape:
         raise InvalidParameter("f_traj must have shape (nt, *grid.shape)")
+    if not np.isfinite(f).all():
+        raise NonFiniteInput("f_traj contains NaN/Inf values")
     if not np.any(f):
         return 0.0
 

@@ -161,12 +161,17 @@ def integral(u: Field) -> float:
 
 def rfft(u: np.ndarray, grid: Grid) -> np.ndarray:
     """rfftn over the trailing grid.dims axes of u; leading axes are a batch
-    (species, time steps), transformed together in one call."""
+    (species, time steps), transformed together in one call.  In 1D the
+    one-axis rfft gives the same bits without rfftn's argument handling."""
+    if grid.dims == 1:
+        return np.fft.rfft(u, axis=-1)
     return np.fft.rfftn(u, axes=range(-grid.dims, 0))
 
 
 def irfft(uh: np.ndarray, grid: Grid) -> np.ndarray:
     """Inverse of rfft: real lattice values over the trailing grid.dims axes."""
+    if grid.dims == 1:
+        return np.fft.irfft(uh, grid.points_per_axis, axis=-1)
     return np.fft.irfftn(uh, s=grid.shape, axes=range(-grid.dims, 0))
 
 

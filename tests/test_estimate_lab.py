@@ -7,6 +7,7 @@ from fracrd.errors import (
     EllOutOfRange,
     EmptyTrajectory,
     GammaOutOfRange,
+    NonFiniteInput,
     NonUniformTimeGrid,
     P0TooSmall,
     QOutOfRange,
@@ -17,6 +18,7 @@ from fracrd.errors import (
 from fracrd.estimate_lab import (
     WEAK_NORM_LEVELS,
     VDiagnostics,
+    _forced_history,
     _time_weights,
     accumulate_v,
     duality_ladder,
@@ -29,10 +31,12 @@ from fracrd.estimate_lab import (
     rho_admissible_max,
     solve_forced_mode,
     stroock_varopoulos_gap,
+    stroock_varopoulos_gaps,
 )
-from fracrd.mild_solver import SolverConfig, Trajectory, solve_mild, species_stats, step_record
+from fracrd.cli_runner import random_band_limited
+from fracrd.mild_solver import SolverConfig, Trajectory, phi_weights, solve_mild, species_stats, step_record
 from fracrd.rds_model import ReactionModel, bimolecular
-from fracrd.spectral_core import Field, make_grid
+from fracrd.spectral_core import Field, FracPower, frac_power, integral, make_grid
 
 
 def _record(g, states):
@@ -141,6 +145,62 @@ def test_sv_ell_guard():
         stroock_varopoulos_gap(Field(g, np.ones(g.shape)), 0.5, 1.0)
 
 
+def _sv_gap_per_pair(v, alpha, ell):
+    """The SV gap of one (ell, alpha) with its own four transforms, as it was
+    written before the gaps were batched per field."""
+    lhs_integrand = np.abs(v.values) ** (ell - 2.0) * v.values
+    lhs = integral(Field(v.grid, lhs_integrand * frac_power(v, FracPower(alpha)).values))
+    half = frac_power(
+        Field(v.grid, np.abs(v.values) ** (ell / 2.0 - 1.0) * v.values),
+        FracPower(alpha / 2.0),
+    )
+    rhs = integral(Field(v.grid, half.values**2))
+    return lhs - (4.0 * (ell - 1.0) / ell**2) * rhs
+
+
+@pytest.mark.parametrize("dims,n", [(1, 256), (2, 32), (3, 16)])
+@pytest.mark.parametrize("signed", [True, False])
+def test_sv_gaps_equal_per_pair_formula(dims, n, signed):
+    g = make_grid(dims, 2 * np.pi, n)
+    rng = np.random.default_rng(dims)
+    ells, alphas = (2.0, 3.0, 4.0), (0.3, 0.5, 0.9)
+    for _ in range(2):
+        v = random_band_limited(g, rng)
+        if not signed:
+            v = Field(g, np.abs(v.values) + 0.1)
+        gaps = stroock_varopoulos_gaps(v, alphas, ells)
+        assert gaps.shape == (3, 3)
+        for i, ell in enumerate(ells):
+            for j, alpha in enumerate(alphas):
+                expected = _sv_gap_per_pair(v, alpha, ell)
+                assert gaps[i, j] == expected
+                assert stroock_varopoulos_gap(v, alpha, ell) == expected
+
+
+def test_sv_gap_zero_nodes_below_ell_two():
+    # sin vanishes exactly at the node x = 0, where |v|^(l-2) v is 0^(-1/2) * 0
+    g = make_grid(1, 2 * np.pi, 64)
+    v = Field(g, np.sin(g.coord_arrays()[0]))
+    assert v.values[0] == 0.0
+    gap = stroock_varopoulos_gap(v, 0.5, 1.5)
+    assert math.isfinite(gap)
+    assert gap >= -1e-8 * max(abs(gap), 1.0)
+    zero = Field(g, np.zeros(g.shape))
+    for ell in (1.5, 2.0, 3.0):
+        assert stroock_varopoulos_gap(zero, 0.5, ell) == 0.0
+
+
+def test_sv_gaps_check_every_pair_and_finiteness():
+    g = make_grid(1, 2 * np.pi, 64)
+    v = Field(g, np.sin(g.coord_arrays()[0]))
+    with pytest.raises(EllOutOfRange):
+        stroock_varopoulos_gaps(v, (0.5,), (2.0, 1.0))
+    bad = np.sin(g.coord_arrays()[0])
+    bad[3] = np.nan
+    with pytest.raises(NonFiniteInput):
+        stroock_varopoulos_gaps(Field(g, bad), (0.5,), (2.0,))
+
+
 def test_gn_theta_arithmetic():
     assert gn_theta(1, 0.5, 4.0) == pytest.approx(0.5)
     assert gn_theta(2, 0.75, 3.0) == pytest.approx((4.5 - 2.0) / 4.5)
@@ -187,6 +247,61 @@ def test_maxreg_ratio_bound_and_zero():
         ratio = maximal_reg_ratio(f, times, 0.5, mu, g)
         assert 0.0 < ratio <= 1.05 / mu
     assert maximal_reg_ratio(np.zeros((len(times),) + g.shape), times, 0.5, 1.0, g) == 0.0
+
+
+def _forced_history_loop(fhat, dt, E, phi1, phi2):
+    """The recurrence with a float x complex product in every step, as it was
+    written before E was cast once."""
+    g = dt * ((phi1 - phi2) * fhat[:-1] + phi2 * fhat[1:])
+    u = np.zeros_like(fhat)
+    for k in range(len(g)):
+        u[k + 1] = E * u[k] + g[k]
+    return u
+
+
+def _same_bits(a, b):
+    parts = (np.real, np.imag) if np.iscomplexobj(a) else (np.real,)
+    return a.dtype == b.dtype and all(
+        np.array_equal(p(a), p(b)) and np.array_equal(np.signbit(p(a)), np.signbit(p(b)))
+        for p in parts)
+
+
+def test_forced_history_equals_per_step_loop():
+    rng = np.random.default_rng(7)
+    nt, dt = 60, 0.05
+    smooth = rng.standard_normal((nt, 8)) + 1j * rng.standard_normal((nt, 8))
+    # zeros of either sign and tiny values that underflow on stiff modes
+    vals = np.array([-1e-300, -0.0, 0.0, 1e-300, -1.0, 1.0])
+    signed = rng.choice(vals, (nt, 64)) + 1j * rng.choice(vals, (nt, 64))
+    # a mode with E = 0 forced by -1 - i, then by -0 + 0i: the sign of the
+    # zero it reaches depends on E u[k] being a complex product
+    signed[:, 0] = complex(-0.0, 0.0)
+    signed[:10, 0] = -1.0 - 1.0j
+    for fhat in (smooth, signed, signed.real.copy()):
+        lam = rng.choice([0.0, 3.0, 2000.0, 1e5], fhat.shape[1])
+        lam[0] = 1e5
+        weights = phi_weights(dt * lam)
+        assert weights[0][0] == 0.0
+        assert _same_bits(_forced_history(fhat, dt, *weights), _forced_history_loop(fhat, dt, *weights))
+
+
+def test_solve_forced_mode_equals_per_step_loop():
+    times = np.linspace(0.0, 4.0, 401)
+    for fhat in (np.exp(-times), np.sin(times), -np.zeros_like(times)):
+        for lam in (0.0, 3.0):
+            weights = phi_weights(np.array([1.5 * 0.01 * lam]))
+            expected = _forced_history_loop(fhat[:, None], 0.01, *weights)[:, 0]
+            assert _same_bits(solve_forced_mode(times, lam, 1.5, fhat), expected)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_maxreg_rejects_nonfinite_forcing(bad):
+    g = make_grid(1, 2 * np.pi, 64)
+    times = np.linspace(0.0, 1.0, 11)
+    f = np.exp(-times)[:, None] * np.sin(g.coord_arrays()[0])[None, :]
+    f[4, 7] = bad
+    with pytest.raises(NonFiniteInput):
+        maximal_reg_ratio(f, times, 0.5, 1.0, g)
 
 
 def test_maxreg_uniform_grid_guard():
