@@ -314,16 +314,16 @@ def _sv_spec(sv: dict):
     """(fields, ells, alphas) of reports.sv; raises unless every gap is defined, fields >= 1."""
     fields = as_int(sv.get("fields", 20), "fields", lo=1)
     ells, alphas = sv.get("ell", [2.0, 3.0, 4.0]), sv.get("alpha", [0.3, 0.5, 0.9])
-    for ell in ells:
-        for al in alphas:
-            el.check_sv(as_real(al, "alpha"), as_real(ell, "ell"))
+    el.check_sv([as_real(al, "alpha", finite=True) for al in alphas],
+                [as_real(ell, "ell", finite=True) for ell in ells])
     return fields, ells, alphas
 
 
 def _gn_spec(gn: dict, dims: int):
     """(fields, alpha, q) of reports.gn; raises unless the ratio is defined, fields >= 1."""
     fields = as_int(gn.get("fields", 20), "fields", lo=1)
-    el.check_gn(dims, as_real(gn["alpha"], "alpha"), as_real(gn["q"], "q"))
+    el.check_gn(dims, as_real(gn["alpha"], "alpha", finite=True),
+                as_real(gn["q"], "q", finite=True))
     return fields, gn["alpha"], gn["q"]
 
 
@@ -336,7 +336,7 @@ def _sv_rows(grid, rng, fields, ells, alphas, bad) -> list:
         for ell, row in zip(ells, gaps.tolist()):
             for al, gap in zip(alphas, row):
                 rows.append([k, ell, al, gap])
-                if gap < -1e-8 * max(abs(gap), 1.0):
+                if not gap >= -1e-8 * max(abs(gap), 1.0):  # a NaN gap fails too
                     bad.append(f"SV gap {gap} at field {k}, ell={ell}, alpha={al}")
     return rows
 
@@ -352,8 +352,9 @@ def _gn_rows(grid, rng, fields, alpha, q) -> list:
 
 def _ladder(lad: dict, dims: int, alpha: float):
     return el.duality_ladder(
-        dims, alpha, as_real(lad.get("rho", 1.0), "rho"),
-        as_real(lad.get("p0", 2.0), "p0"), as_real(lad.get("eps_star", 0.0), "eps_star"),
+        dims, alpha, as_real(lad.get("rho", 1.0), "rho", finite=True),
+        as_real(lad.get("p0", 2.0), "p0", finite=True),
+        as_real(lad.get("eps_star", 0.0), "eps_star", finite=True),
     )
 
 
@@ -605,6 +606,7 @@ SUITES = {
 
 
 def run_verify(names, outdir=None, seed: int = 0) -> dict:
+    seed = as_int(seed, "seed")
     unknown = [name for name in names if name not in SUITES]
     if unknown:
         raise ConfigInvalid([f"unknown suites {unknown}; known: {sorted(SUITES)}"])

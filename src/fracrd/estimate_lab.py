@@ -149,11 +149,16 @@ def holder_seminorm(vtraj: VDiagnostics, gamma: float, seed: int = 0):
 # Functional inequalities
 # ----------------------------------------------------------------------
 
-def check_sv(alpha: float, ell: float):
-    """Raise unless the SV gap is defined: ell > 1 and (-Dl)^alpha valid."""
-    if not ell > 1:
-        raise EllOutOfRange(f"must exceed 1, got {ell}", "ell")
-    FracPower(alpha)
+def check_sv(alphas, ells):
+    """Raise unless both lists are nonempty and every gap is defined: ell > 1, (-Dl)^alpha valid."""
+    for name, values in (("alpha", alphas), ("ell", ells)):
+        if not len(values):
+            raise InvalidParameter("must be a nonempty list", name)
+    for ell in ells:
+        for al in alphas:
+            if not ell > 1:
+                raise EllOutOfRange(f"must exceed 1, got {ell}", "ell")
+            FracPower(al)
 
 
 def _signed_power(x: np.ndarray, p: float) -> np.ndarray:
@@ -171,9 +176,7 @@ def stroock_varopoulos_gaps(v: Field, alphas, ells) -> np.ndarray:
     and v must be finite, before any transform.
     """
     alphas, ells = [float(a) for a in alphas], [float(ell) for ell in ells]
-    for ell in ells:
-        for al in alphas:
-            check_sv(al, ell)
+    check_sv(alphas, ells)
     v.require_finite()
     grid, x = v.grid, v.values
     ksq, space, vol = grid.wavenumbers_squared(), tuple(range(-grid.dims, 0)), grid.cell_volume

@@ -24,7 +24,6 @@ MAX_HALVINGS bounds the depth: dt never falls below cfg.dt / 2**MAX_HALVINGS.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -185,11 +184,9 @@ def solve_mild(model: ReactionModel, u0, cfg: SolverConfig) -> Trajectory:
     if np.min(u) < 0:
         raise NegativeInitialData(f"negative initial value {np.min(u):.3g}")
 
-    traj = Trajectory(grid=grid)
-    traj.times.append(0.0)
-    traj.states.append(u.copy())
-    step_times, iterations, residuals, stats = [0.0], [0], [0.0], [species_stats(grid, u)]
-    threshold = cfg.blowup_factor * max(sum(stats[0][1].tolist()), 1e-300)  # sum_i sup |u_i|
+    traj = Trajectory(grid=grid, times=[0.0], states=[u.copy()])
+    rows = [(0.0, 0, 0.0, species_stats(grid, u))]  # (t, iterations, residual, stats) per window
+    threshold = cfg.blowup_factor * max(sum(rows[0][3][1].tolist()), 1e-300)  # sum_i sup |u_i|
     stepper = _Stepper(grid, model, cfg.alpha, cfg.dealias)
 
     start = (u, rfft(u, grid), stepper._rates_hat(u, 0.0), float(np.max(np.abs(u))))
@@ -197,7 +194,6 @@ def solve_mild(model: ReactionModel, u0, cfg: SolverConfig) -> Trajectory:
     depth = 0  # halvings of cfg.dt in force
     calm = 0  # straight accepted windows of at most REGROW_ITERS iterations
     dt_prev = fhat_prev = None  # the last accepted window's dt and start rate
-    steps_since_store = 0
     eps = 1e-12 * cfg.horizon
     while t < cfg.horizon - eps:
         dt_step = min(cfg.dt / 2.0**depth, cfg.horizon - t)
@@ -216,20 +212,16 @@ def solve_mild(model: ReactionModel, u0, cfg: SolverConfig) -> Trajectory:
             depth -= 1
             calm = 0
         t += dt_step
-        u = start[0]
-        step_times.append(t)
-        iterations.append(iters)
-        residuals.append(res)
-        stats.append(species_stats(grid, u))
-        steps_since_store += 1
-        blown_up = sum(stats[-1][1].tolist()) > threshold
-        if steps_since_store >= cfg.store_every or t >= cfg.horizon - eps or blown_up:
+        u = start[0]  # a fresh irfft output that no later window writes to
+        rows.append((t, iters, res, species_stats(grid, u)))
+        blown_up = sum(rows[-1][3][1].tolist()) > threshold
+        if (len(rows) - 1) % cfg.store_every == 0 or t >= cfg.horizon - eps or blown_up:
             traj.times.append(t)
-            traj.states.append(u.copy())
-            steps_since_store = 0
+            traj.states.append(u)
         if blown_up:
             traj.blowup_time = t
             break
+    step_times, iterations, residuals, stats = zip(*rows)
     traj.step_times = np.array(step_times)
     traj.step_diagnostics = step_record(iterations, residuals, stats)
     return traj
@@ -249,29 +241,20 @@ def detect_blowup(traj: Trajectory, threshold: float):
 def save_checkpoint(path, grid: Grid, time: float, state: np.ndarray):
     state = np.asarray(state, dtype=float)
     m = state.shape[0]
+    head = [["dims", grid.dims], ["points_per_axis", grid.points_per_axis],
+            ["extent", grid.extent], ["time", float(time)], ["species", m],
+            [f"u{i}" for i in range(m)]]
+    rows = state.reshape(m, -1).T.tolist()  # one row per grid point
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["dims", grid.dims])
-        w.writerow(["points_per_axis", grid.points_per_axis])
-        w.writerow(["extent", repr(grid.extent)])
-        w.writerow(["time", repr(float(time))])
-        w.writerow(["species", m])
-        w.writerow([f"u{i}" for i in range(m)])
-        # one row per grid point, the bytes csv.writer writes for these reprs
-        rows = state.reshape(m, -1).T.tolist()
+        fh.writelines(",".join(map(str, row)) + "\r\n" for row in head)
         fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def load_checkpoint(path):
     with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        dims = int(next(r)[1])
-        n = int(next(r)[1])
-        extent = float(next(r)[1])
-        time = float(next(r)[1])
-        m = int(next(r)[1])
-        next(r)  # column header
+        dims, n, extent, time, m = (line.split(",")[1] for _, line in zip(range(5), fh))
+        next(fh)  # column header
         data = np.array([list(map(float, line.split(","))) for line in fh])
-    grid = make_grid(dims, extent, n)
-    state = data.T.reshape((m,) + grid.shape)
-    return grid, time, state
+    grid = make_grid(int(dims), float(extent), int(n))
+    state = data.T.reshape((int(m),) + grid.shape)
+    return grid, float(time), state

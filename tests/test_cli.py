@@ -16,7 +16,7 @@ from fracrd.cli_runner import (
     sweep,
     validate_config,
 )
-from fracrd.errors import ConfigInvalid, EmptyValues, UnknownAxis
+from fracrd.errors import ConfigInvalid, EmptyValues, InvalidParameter, UnknownAxis
 from fracrd.mild_solver import load_checkpoint
 
 DEMO = {
@@ -145,8 +145,20 @@ MISREAD = {
     "model.isc_matrix=ragged": ("model.isc_matrix", _pair(isc_matrix=[[1.0], [0.0, 1.0]])),
     "reports.holder_gamma=str": ("reports.holder_gamma", [(("reports", "holder_gamma"), ["x"])]),
 }
-DEFECT_IDS = [d[0] for d in DEFECTS] + list(TRUE_AS_ONE) + list(STRING_AS_NUMBER) + list(MISREAD)
-DEFECTS += [*TRUE_AS_ONE.values(), *STRING_AS_NUMBER.values(), *MISREAD.values()]
+# empty SV lists, which used to fail after the solve, and "inf" where only
+# norm_p takes it, keyed by test id
+EMPTY_OR_INF = {
+    "reports.sv.ell=[]": ("reports.sv.ell", [(("reports", "sv", "ell"), [])]),
+    "reports.sv.alpha=[]": ("reports.sv.alpha", [(("reports", "sv", "alpha"), [])]),
+    "reports.ladder.p0=inf": ("reports.ladder.p0", [(("reports", "ladder", "p0"), "inf")]),
+    "reports.ladder.eps_star=inf": ("reports.ladder.eps_star",
+                                    [(("reports", "ladder", "eps_star"), "Infinity")]),
+    "reports.sv.ell=inf": ("reports.sv.ell", [(("reports", "sv", "ell"), [2, "inf"])]),
+}
+DEFECT_IDS = ([d[0] for d in DEFECTS] + list(TRUE_AS_ONE) + list(STRING_AS_NUMBER)
+              + list(MISREAD) + list(EMPTY_OR_INF))
+DEFECTS += [*TRUE_AS_ONE.values(), *STRING_AS_NUMBER.values(), *MISREAD.values(),
+            *EMPTY_OR_INF.values()]
 
 # Every field validate_config owns, each with valid and invalid values.
 FIELDS = {
@@ -180,15 +192,15 @@ FIELDS = {
     ("reports", "norm_p"): [[1, "inf"], [0.5], ["x"], 3, [True]],
     ("reports", "weak_p"): [1, 0, "2", None, True],
     ("reports", "holder_gamma"): [[0.25, 0.75], [1.5], [0], ["x"], 0.5],
-    ("reports", "sv", "ell"): [[2, 4], [1], ["x"]],
-    ("reports", "sv", "alpha"): [[0.3, 1.0], [1.5], [0], [True]],
+    ("reports", "sv", "ell"): [[2, 4], [1], ["x"], [], ["inf"]],
+    ("reports", "sv", "alpha"): [[0.3, 1.0], [1.5], [0], [True], []],
     ("reports", "sv", "fields"): [0, 2, "x", 2.7, True],
     ("reports", "gn", "q"): [3.0, 2.0, 10.0, "x"],
     ("reports", "gn", "alpha"): [0.9, 3.0, 0, True],
     ("reports", "gn", "fields"): [1, 0, "x", 2.7],
     ("reports", "ladder", "rho"): [1.2, 2.5, 0.5, "x", True],
-    ("reports", "ladder", "p0"): [3.0, 1.0],
-    ("reports", "ladder", "eps_star"): [0.5, -1.0, True],
+    ("reports", "ladder", "p0"): [3.0, 1.0, "inf"],
+    ("reports", "ladder", "eps_star"): [0.5, -1.0, True, "inf"],
 }
 
 
@@ -482,11 +494,32 @@ def test_main_exit_codes(tmp_path, capsys):
         ["run", str(malformed)],
         ["sweep", str(cfg_path), "--axis", "alpha", "--values", "a,b"],
         ["verify", "bogus"],
+        ["verify", "ladder", "--seed", "-1"],
     ):
         assert main(argv + ["--out", str(tmp_path / "r2")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
     assert main(["verify", "ladder", "--out", str(tmp_path / "v")]) == 0
+
+
+def test_verify_seed_is_read_before_any_output(tmp_path):
+    with pytest.raises(InvalidParameter):
+        run_verify(["ladder"], outdir=str(tmp_path / "v"), seed=True)
+    assert not (tmp_path / "v").exists()
+
+
+def test_nan_sv_gap_fails_the_run(tmp_path, monkeypatch):
+    real_gaps = el.stroock_varopoulos_gaps
+
+    def first_gap_nan(*args):
+        gaps = real_gaps(*args)
+        gaps[0, 0] = float("nan")
+        return gaps
+
+    monkeypatch.setattr(el, "stroock_varopoulos_gaps", first_gap_nan)
+    man = run_scenario(_tiny(), outdir=str(tmp_path / "run"))  # 5 SV fields
+    assert not man["passed"]
+    assert man["violations"] == [f"SV gap nan at field {k}, ell=2, alpha=0.5" for k in range(5)]
 
 
 def test_output_root_env(tmp_path, monkeypatch):

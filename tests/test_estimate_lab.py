@@ -7,6 +7,7 @@ from fracrd.errors import (
     EllOutOfRange,
     EmptyTrajectory,
     GammaOutOfRange,
+    InvalidParameter,
     NonFiniteInput,
     NonUniformTimeGrid,
     P0TooSmall,
@@ -195,6 +196,10 @@ def test_sv_gaps_check_every_pair_and_finiteness():
     v = Field(g, np.sin(g.coord_arrays()[0]))
     with pytest.raises(EllOutOfRange):
         stroock_varopoulos_gaps(v, (0.5,), (2.0, 1.0))
+    for alphas, ells, name in (((), (2.0,), "alpha"), ((0.5,), (), "ell")):
+        with pytest.raises(InvalidParameter) as exc:
+            stroock_varopoulos_gaps(v, alphas, ells)
+        assert exc.value.name == name
     bad = np.sin(g.coord_arrays()[0])
     bad[3] = np.nan
     with pytest.raises(NonFiniteInput):

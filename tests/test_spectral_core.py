@@ -158,6 +158,18 @@ def test_quadrature_single_mode(g64):
     assert rel < 0.02
 
 
+@pytest.mark.parametrize("dims,points,beta", [(2, 16, 0.3), (2, 16, 0.5), (2, 16, 0.8), (3, 8, 0.5)])
+def test_quadrature_nd_matches_spectral(dims, points, beta):
+    g = make_grid(dims, 2 * np.pi, points)
+    x = g.coord_arrays()
+    u = Field(g, np.cos(x[0]) + 0.5 * np.sin(2 * x[-1]) + 0.3 * np.cos(x[0] + x[-1]))
+    spec = frac_power(u, FracPower(beta)).values
+    quad = frac_power_quadrature(u, FracPower(beta)).values
+    assert np.linalg.norm(quad - spec) / np.linalg.norm(spec) <= 0.1
+    flat = frac_power_quadrature(Field(g, np.full(g.shape, 2.0)), FracPower(beta)).values
+    assert np.max(np.abs(flat)) <= 1e-12
+
+
 def test_quadrature_guards(g64):
     u = Field(g64, np.zeros(g64.shape))
     with pytest.raises(BetaOutOfRange):
