@@ -32,6 +32,7 @@ from .errors import (
     UnknownAxis,
     as_int,
     as_real,
+    in_range,
 )
 from .mild_solver import SolverConfig, save_checkpoint, solve_mild
 from .rds_model import get_model, polynomial_model
@@ -75,9 +76,10 @@ def _at(path, build, *args):
 
 def validate_config(cfg: dict) -> SimpleNamespace:
     """The scenario cfg describes: seed, grid, model, solver (a SolverConfig),
-    initial_data (the profile specs), reports (the raw section) and the sv,
-    gn and ladder report specs (None when disabled).  Raises ConfigInvalid
-    with one message per offending field, each starting with its config path.
+    initial_data (the profile specs), reports (the raw section), norm_p (its
+    norm exponents as floats, [2.0] by default) and the sv, gn and ladder
+    report specs (None when disabled).  Raises ConfigInvalid with one message
+    per offending field, each starting with its config path.
 
     The initial data and each enabled report go through the checks their own
     code applies; only rules no other code holds (schema version, seed,
@@ -114,8 +116,8 @@ def validate_config(cfg: dict) -> SimpleNamespace:
     if not isinstance(rep, dict):
         msgs.append("reports: must be an object")
         rep = {}
-    for p in check("reports.norm_p", list, rep.get("norm_p", [])) or []:
-        check("reports", _exponent, p, "norm_p")
+    norm_p = [check("reports", _exponent, p, "norm_p")
+              for p in check("reports.norm_p", list, rep.get("norm_p", [2.0])) or []]
     if rep.get("weak_p") is not None:  # finite: the raw value keys the strong norm
         check("reports", _exponent, rep["weak_p"], "weak_p", True)
     for gamma in check("reports.holder_gamma", list, rep.get("holder_gamma", [])) or []:
@@ -131,13 +133,13 @@ def validate_config(cfg: dict) -> SimpleNamespace:
     if msgs:
         raise ConfigInvalid(msgs)
     return SimpleNamespace(seed=cfg.get("seed", 0), grid=grid, model=model, solver=scfg,
-                           initial_data=init, reports=rep, sv=sv, gn=gn, ladder=ladder)
+                           initial_data=init, reports=rep, norm_p=norm_p, sv=sv, gn=gn,
+                           ladder=ladder)
 
 
-def _exponent(p, name, finite=False):
-    """Raise unless p is a norm exponent: a number >= 1, or "inf" unless finite."""
-    if not as_real(p, name, finite) >= 1:
-        raise InvalidParameter(f"must be >= 1, got {p!r}", name)
+def _exponent(p, name, finite=False) -> float:
+    """p read as a norm exponent: a number >= 1, or "inf" unless finite."""
+    return in_range(p, name, "[1, inf)" if finite else "[1, inf]")
 
 
 def _grid(cfg: dict):
@@ -189,17 +191,15 @@ def _bump(grid, center, width):
 
 def _check_profile(spec, dims):
     """Raise unless spec is an initial-data entry naming a known profile
-    whose keys, where given, hold: amplitude, width and floor nonnegative
-    finite reals; center one finite real per axis of the dims-dimensional
+    whose keys, where given, hold: amplitude and floor in [0, inf), width in
+    (0, inf); center one finite real per axis of the dims-dimensional
     grid (any length when dims is None); separation a finite real; modes an
     integer >= 1."""
     if not isinstance(spec, dict) or spec.get("profile") not in PROFILES:
         raise InvalidParameter(f"must be an object with a profile in {PROFILES}, got {spec!r}")
-    for key in ("amplitude", "width", "floor"):
-        if as_real(spec.get(key, 0.0), key, finite=True) < 0:
-            raise InvalidParameter(f"must be nonnegative, got {spec[key]!r}", key)
-    if spec.get("width") == 0:
-        raise InvalidParameter("must be positive, got 0", "width")
+    for key, interval in (("amplitude", "[0, inf)"), ("width", "(0, inf)"), ("floor", "[0, inf)")):
+        if key in spec:
+            in_range(spec[key], key, interval)
     c = spec.get("center", [0.0] * (dims or 0))
     if not isinstance(c, list) or dims is not None and len(c) != dims:
         raise InvalidParameter(f"must list one finite real per grid axis, got {c!r}", "center")
@@ -314,16 +314,14 @@ def _sv_spec(sv: dict):
     """(fields, ells, alphas) of reports.sv; raises unless every gap is defined, fields >= 1."""
     fields = as_int(sv.get("fields", 20), "fields", lo=1)
     ells, alphas = sv.get("ell", [2.0, 3.0, 4.0]), sv.get("alpha", [0.3, 0.5, 0.9])
-    el.check_sv([as_real(al, "alpha", finite=True) for al in alphas],
-                [as_real(ell, "ell", finite=True) for ell in ells])
+    el.check_sv([as_real(al, "alpha", finite=True) for al in alphas], ells)
     return fields, ells, alphas
 
 
 def _gn_spec(gn: dict, dims: int):
     """(fields, alpha, q) of reports.gn; raises unless the ratio is defined, fields >= 1."""
     fields = as_int(gn.get("fields", 20), "fields", lo=1)
-    el.check_gn(dims, as_real(gn["alpha"], "alpha", finite=True),
-                as_real(gn["q"], "q", finite=True))
+    el.check_gn(dims, gn["alpha"], gn["q"])
     return fields, gn["alpha"], gn["q"]
 
 
@@ -351,11 +349,8 @@ def _gn_rows(grid, rng, fields, alpha, q) -> list:
 
 
 def _ladder(lad: dict, dims: int, alpha: float):
-    return el.duality_ladder(
-        dims, alpha, as_real(lad.get("rho", 1.0), "rho", finite=True),
-        as_real(lad.get("p0", 2.0), "p0", finite=True),
-        as_real(lad.get("eps_star", 0.0), "eps_star", finite=True),
-    )
+    return el.duality_ladder(dims, alpha, lad.get("rho", 1.0), lad.get("p0", 2.0),
+                             lad.get("eps_star", 0.0))
 
 
 # ----------------------------------------------------------------------
@@ -378,8 +373,7 @@ def _run(sc, outdir) -> dict:
     files = ["final_state.csv"]
     violations = []
 
-    norm_p = [as_real(p) for p in rep.get("norm_p", [2.0])]
-    weak_p = rep.get("weak_p")
+    norm_p, weak_p = sc.norm_p, rep.get("weak_p")
     # the weak-versus-strong check needs the strong L^weak_p(Q) norm even
     # when norms.csv does not list weak_p
     strong_p = norm_p if weak_p is None else list(dict.fromkeys(norm_p + [float(weak_p)]))

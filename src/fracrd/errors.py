@@ -34,6 +34,18 @@ def as_real(x, name=None, finite=False) -> float:
     return float(x)
 
 
+def in_range(x, name, interval, error=InvalidParameter) -> float:
+    """x read by as_real when it lies in interval, written "(a, b]" with ( ) open
+    and [ ] closed ends; NaN lies in no interval, inf only in one closed at inf."""
+    v = as_real(x, name)
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    above = lo < v or interval[0] == "[" and v == lo
+    below = v < hi or interval[-1] == "]" and v == hi
+    if not (above and below):
+        raise error(f"must lie in {interval}, got {x!r}", name)
+    return v
+
+
 # --- grid / spectral ---------------------------------------------------
 class InvalidDims(InvalidParameter):
     pass
@@ -60,11 +72,11 @@ class BetaOutOfRange(InvalidParameter):
 
 
 # --- heat kernel -------------------------------------------------------
-class NonPositiveTime(FracRDError):
+class NonPositiveTime(InvalidParameter):
     pass
 
 
-class NegativeTime(FracRDError):
+class NegativeTime(InvalidParameter):
     pass
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BetaOutOfRange,
     EllOutOfRange,
     EmptyTrajectory,
     GammaOutOfRange,
@@ -26,7 +27,7 @@ from .errors import (
     RhoInadmissible,
     TooFewSlices,
     ZeroField,
-    as_real,
+    in_range,
 )
 from .mild_solver import Trajectory, phi_weights
 from .spectral_core import Field, FracPower, frac_power, irfft, lp_norm, rfft
@@ -88,15 +89,13 @@ def accumulate_v(traj: Trajectory, d) -> VDiagnostics:
     )
 
 
-ALL_PAIRS_NODE_LIMIT = 4096
-RANDOM_PAIR_COUNT = 100_000
+RANDOM_PAIR_COUNT = 100_000  # node pairs sampled when there are more than this many
 MAX_HOLDER_SLICES = 16
 
 
 def check_holder_gamma(gamma: float):
-    """Raise unless gamma is a number in (0, 1)."""
-    if not (0.0 < as_real(gamma) < 1.0):
-        raise GammaOutOfRange(f"gamma must lie in (0,1), got {gamma}")
+    """Raise unless gamma is a number in (0, 1); unnamed, as reports.holder_gamma names it."""
+    in_range(gamma, None, "(0, 1)", GammaOutOfRange)
 
 
 def holder_seminorm(vtraj: VDiagnostics, gamma: float, seed: int = 0):
@@ -117,7 +116,7 @@ def holder_seminorm(vtraj: VDiagnostics, gamma: float, seed: int = 0):
     if picks[-1] != len(vtraj.times) - 1:
         picks.append(len(vtraj.times) - 1)
 
-    if nn <= ALL_PAIRS_NODE_LIMIT:
+    if nn * (nn - 1) // 2 <= RANDOM_PAIR_COUNT:
         ia, ib = np.triu_indices(nn, k=1)
     else:
         rng = np.random.default_rng(seed)
@@ -155,10 +154,9 @@ def check_sv(alphas, ells):
         if not len(values):
             raise InvalidParameter("must be a nonempty list", name)
     for ell in ells:
-        for al in alphas:
-            if not ell > 1:
-                raise EllOutOfRange(f"must exceed 1, got {ell}", "ell")
-            FracPower(al)
+        in_range(ell, "ell", "(1, inf)", EllOutOfRange)
+    for al in alphas:
+        FracPower(al)
 
 
 def _signed_power(x: np.ndarray, p: float) -> np.ndarray:
@@ -209,11 +207,10 @@ def critical_exponent(dims: int, alpha: float) -> float:
 
 
 def check_gn(dims: int, alpha: float, q: float):
-    """Raise unless the GN ratio is defined: 2 < q < critical, (-Dl)^(alpha/2) valid."""
-    crit = critical_exponent(dims, alpha)
-    if not (2.0 < q < crit):
-        raise QOutOfRange(f"must lie in (2, {crit}), got {q}", "q")
-    FracPower(alpha / 2.0)
+    """Raise unless the GN ratio is defined: alpha in (0, 2], so that (-Dl)^(alpha/2)
+    is valid, and 2 < q < critical."""
+    in_range(alpha, "alpha", "(0, 2]", BetaOutOfRange)
+    in_range(q, "q", f"(2, {critical_exponent(dims, alpha)!r})", QOutOfRange)
 
 
 def gn_ratio(v: Field, alpha: float, q: float) -> float:
@@ -256,6 +253,8 @@ def maximal_reg_ratio(f_traj, times, alpha: float, mu: float, grid) -> float:
     trapezoidal rule (exact for forcings linear in t between grid points).
     Returns 0 by convention for identically zero forcing.
     """
+    in_range(alpha, "alpha", "(0, 1]")
+    in_range(mu, "mu", "(0, inf)")
     times = np.asarray(times, dtype=float)
     if len(times) < 2:
         raise NonUniformTimeGrid("need at least two time points")
@@ -394,9 +393,8 @@ def q_hat(dims: int, alpha: float, p: float) -> float:
     p=1 and p=(N+2a)/2a return open suprema ((N+2a)/N and +inf); above the
     critical value every finite exponent (and inf) is reachable.
     """
+    p = in_range(p, "p", "[1, inf]")
     crit = (dims + 2.0 * alpha) / (2.0 * alpha)
-    if p < 1:
-        raise InvalidParameter(f"must be >= 1, got {p}", "p")
     if p == 1:
         return (dims + 2.0 * alpha) / dims
     if p < crit:
@@ -407,21 +405,15 @@ def q_hat(dims: int, alpha: float, p: float) -> float:
 def duality_ladder(dims: int, alpha: float, rho: float, p0: float, eps_star: float = 0.0) -> ExponentLadder:
     """Iterate p_{n+1} = (N+2a) p_n / (rho (N+2a) - 2a p_n) until the
     sequence clears the threshold (N+2a)/(2a rho)."""
-    if not (0.0 < alpha < 1.0):
-        raise InvalidParameter(f"alpha must lie in (0,1), got {alpha}")
-    if not rho >= 1.0:
-        raise RhoInadmissible(f"must be >= 1, got {rho}", "rho")
-    if not eps_star >= 0.0:
-        raise InvalidParameter(f"must be >= 0, got {eps_star}", "eps_star")
+    alpha = in_range(alpha, "alpha", "(0, 1)")
+    eps_star = in_range(eps_star, "eps_star", "[0, inf)")
     rmax = rho_admissible_max(dims, alpha, eps_star)
-    if rho > rmax + 1e-12:
-        raise RhoInadmissible(f"= {rho} exceeds the admissible cap {rmax:.6g}", "rho")
-    if not p0 >= 2.0:
-        raise P0TooSmall(f"must be >= 2 for improved duality, got {p0}", "p0")
+    rho = in_range(rho, "rho", f"[1, {rmax + 1e-12!r}]", RhoInadmissible)  # cap, 1e-12 for rounding
+    p0 = in_range(p0, "p0", "[2, inf)", P0TooSmall)  # improved duality needs p0 >= 2
 
     total = dims + 2.0 * alpha
     threshold = total / (2.0 * alpha * rho)
-    seq = [float(p0)]
+    seq = [p0]
     term = None
     diverged = False
     if seq[0] >= threshold:
@@ -443,7 +435,7 @@ def duality_ladder(dims: int, alpha: float, rho: float, p0: float, eps_star: flo
         dims=dims,
         alpha=alpha,
         rho=rho,
-        p0=float(p0),
+        p0=p0,
         eps_star=eps_star,
         rho_max=rmax,
         threshold=threshold,

@@ -15,10 +15,10 @@ import numpy as np
 from .errors import (
     DegenerateFit,
     ExponentOrder,
-    InvalidParameter,
     NegativeTime,
     NonPositiveTime,
     TailMassTooLarge,
+    in_range,
 )
 from .spectral_core import Field, Grid, apply_multiplier, image_r2, irfft, lp_norm, make_grid
 
@@ -30,10 +30,8 @@ class KernelSpec:
     grid: Grid
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise InvalidParameter(f"must lie in (0, 1], got {self.alpha}", "alpha")
-        if self.mu <= 0:
-            raise InvalidParameter(f"must be positive, got {self.mu}", "mu")
+        in_range(self.alpha, "alpha", "(0, 1]")
+        in_range(self.mu, "mu", "(0, inf)")
 
 
 @dataclass
@@ -49,8 +47,7 @@ class SmoothingReport:
 
 def heat_kernel_field(spec: KernelSpec, t: float) -> Field:
     """Kernel of exp(-t mu (-Delta)^alpha); peak at the x=0 node (index 0)."""
-    if t <= 0:
-        raise NonPositiveTime(f"kernel requires t > 0, got {t}")
+    in_range(t, "t", "(0, inf)", NonPositiveTime)
     g = spec.grid
     ksq = g.wavenumbers_squared()
     symbol = np.exp(-spec.mu * t * ksq**spec.alpha)
@@ -60,9 +57,7 @@ def heat_kernel_field(spec: KernelSpec, t: float) -> Field:
 
 def semigroup_apply(u: Field, spec: KernelSpec, t: float) -> Field:
     """Multiply the spectrum of u by exp(-mu t |xi|^(2 alpha))."""
-    if t < 0:
-        raise NegativeTime(f"semigroup requires t >= 0, got {t}")
-    if t == 0:
+    if in_range(t, "t", "[0, inf)", NegativeTime) == 0:
         return u
     ksq = u.grid.wavenumbers_squared()
     return apply_multiplier(u, np.exp(-spec.mu * t * ksq**spec.alpha))
@@ -92,8 +87,10 @@ _ENVELOPE_IMAGES = {1: 64, 2: 8, 3: 2}
 def kernel_diagnostics(spec: KernelSpec, times) -> dict:
     """Envelope ratios, self-similarity residual, and tail-mass monitor."""
     times = list(times)
-    if not times or any(t <= 0 for t in times):
-        raise NonPositiveTime("times must be a non-empty list of positive reals")
+    if not times:
+        raise NonPositiveTime("must be a nonempty list", "times")
+    for t in times:
+        in_range(t, "times", "(0, inf)", NonPositiveTime)
     g = spec.grid
 
     tail = max(kernel_tail_mass(spec, t) for t in times)

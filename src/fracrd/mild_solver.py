@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameter, NegativeInitialData, NonFiniteInput, PicardDivergence, as_int
+from .errors import InvalidParameter, NegativeInitialData, NonFiniteInput, PicardDivergence
+from .errors import as_int, in_range
 from .rds_model import ReactionModel
 from .spectral_core import Field, Grid, irfft, make_grid, rfft
 
@@ -50,12 +51,10 @@ class SolverConfig:
     store_every: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.horizon < np.inf:
-            raise InvalidParameter(f"must be positive and finite, got {self.horizon!r}", "horizon")
-        if not 0.0 < self.dt <= self.horizon:
-            raise InvalidParameter(f"must lie in (0, horizon], got {self.dt!r}", "dt")
-        if not 0.0 < self.alpha <= 1.0:
-            raise InvalidParameter(f"must lie in (0, 1], got {self.alpha!r}", "alpha")
+        horizon = in_range(self.horizon, "horizon", "(0, inf)")
+        in_range(self.dt, "dt", f"(0, {horizon!r}]")
+        in_range(self.alpha, "alpha", "(0, 1]")
+        in_range(self.blowup_factor, "blowup_factor", "[1, inf)")
         if not isinstance(self.dealias, bool):
             raise InvalidParameter(f"must be a boolean, got {self.dealias!r}", "dealias")
         as_int(self.store_every, "store_every", lo=1)
@@ -235,7 +234,7 @@ def detect_blowup(traj: Trajectory, threshold: float):
 
 
 # ----------------------------------------------------------------------
-# Checkpoint I/O: CSV state dump with a grid header, resumable.
+# Checkpoint I/O: CSV state dump with a grid header.
 # ----------------------------------------------------------------------
 
 def save_checkpoint(path, grid: Grid, time: float, state: np.ndarray):

@@ -26,9 +26,11 @@ from .errors import (
     NonFiniteRate,
     as_int,
     as_real,
+    in_range,
 )
 
 STATE_TOL = 1e-10  # relative negativity tolerance for rate evaluation
+CHECK_TOL = 1e-9  # relative slack of every assumption check
 
 
 class Assumption(Enum):
@@ -56,9 +58,7 @@ class ReactionModel:
     def __post_init__(self):
         if not np.iterable(self.d) or len(self.d) != self.m:
             raise InvalidParameter(f"must have {self.m} entries, got {self.d!r}", "diffusivities")
-        d = tuple(as_real(di, "diffusivities", finite=True) for di in self.d)
-        if not all(di > 0.0 for di in d):
-            raise InvalidParameter(f"must be positive, got {self.d!r}", "diffusivities")
+        d = tuple(in_range(di, "diffusivities", "(0, inf)") for di in self.d)
         object.__setattr__(self, "d", d)
         for key in ("rho", "nu", "growth_c"):
             if getattr(self, key) is not None:
@@ -107,7 +107,7 @@ def eval_reactions(model: ReactionModel, state, t: float = 0.0):
     return rates
 
 
-def check_assumption(model, which: Assumption, count: int = 200, tol: float = 1e-9) -> AssumptionReport:
+def check_assumption(model, which: Assumption, count: int = 200) -> AssumptionReport:
     """Hunt for violations of one structural assumption at count nonnegative
     states (magnitudes 0 to 1e3, about a fifth of entries zero), all drawn at
     once; the witnesses are (state list, value) pairs in sample order."""
@@ -134,27 +134,27 @@ def check_assumption(model, which: Assumption, count: int = 200, tol: float = 1e
         states = np.repeat(u[None], m, axis=0)
         states[np.arange(m), np.arange(m)] = 0.0  # states[i] has species i zeroed
         value = np.stack([eval_reactions(model, ui0)[i] for i, ui0 in enumerate(states)])
-        bad = value < -tol * scale
+        bad = value < -CHECK_TOL * scale
     else:
         f = eval_reactions(model, u)
         if which == Assumption.M:
             value = np.sum(f, axis=0, keepdims=True)
-            bad = value > tol * scale**2
+            bad = value > CHECK_TOL * scale**2
         elif which == Assumption.CONSERVATION:
             value = np.sum(f, axis=0, keepdims=True)
-            bad = np.abs(value) > tol * scale**2
+            bad = np.abs(value) > CHECK_TOL * scale**2
         elif which == Assumption.QUADRATIC:
             value = np.max(np.abs(f), axis=0, keepdims=True)
-            bad = value > model.growth_c * (1.0 + sq) * (1.0 + tol)
+            bad = value > model.growth_c * (1.0 + sq) * (1.0 + CHECK_TOL)
         elif which == Assumption.ISC:
             c = model.growth_c if model.growth_c is not None else 1.0
             # row i combines f_1..f_i; tril drops the upper entries validation tolerates
             value = (np.tril(model.isc_matrix) @ f)[:-1]
-            bad = value > c * np.sqrt(sq) ** model.rho + tol * np.maximum(scale**model.rho, 1.0)
+            bad = value > c * np.sqrt(sq) ** model.rho + CHECK_TOL * np.maximum(scale**model.rho, 1.0)
         else:  # Assumption.POL
             value = np.max(f, axis=0, keepdims=True)
             bound = model.growth_c * np.sqrt(sq) ** model.nu
-            bad = value > bound + tol * np.maximum(scale**model.nu, 1.0)
+            bad = value > bound + CHECK_TOL * np.maximum(scale**model.nu, 1.0)
         states = np.broadcast_to(u, (len(value), m, count))
 
     k, r = np.nonzero(bad.T)  # sample-major, the order the witnesses are listed in

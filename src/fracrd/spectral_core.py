@@ -22,6 +22,7 @@ from .errors import (
     MemoryBudgetExceeded,
     NonFiniteInput,
     NotPowerOfTwo,
+    in_range,
 )
 
 # Node-count cap checked at grid construction (2^24 doubles ~ 128 MB of
@@ -103,8 +104,7 @@ def make_grid(dims: int, extent: float, points: int) -> Grid:
         raise InvalidDims(f"must be 1, 2 or 3, got {dims!r}", "dims")
     if type(points) is not int or points < 8 or points & (points - 1):
         raise NotPowerOfTwo(f"must be a power of two >= 8, got {points!r}", "points")
-    if not 0.0 < extent < math.inf:
-        raise InvalidDims(f"must be a positive finite real, got {extent!r}", "extent")
+    in_range(extent, "extent", "(0, inf)", InvalidDims)
     if points**dims > MAX_NODES:
         raise MemoryBudgetExceeded(
             f"{points}^{dims} = {points**dims} nodes exceed the {MAX_NODES} node budget", "points"
@@ -139,8 +139,8 @@ class FracPower:
     beta: float
 
     def __post_init__(self):
-        if not (0.0 < self.beta <= 1.0):
-            raise BetaOutOfRange(f"beta must lie in (0, 1], got {self.beta}")
+        # unnamed: a config path already names the value beta is read from
+        in_range(self.beta, None, "(0, 1]", BetaOutOfRange)
 
 
 def field_mean(u: Field) -> float:
@@ -309,10 +309,7 @@ def frac_power_quadrature(u: Field, p: FracPower) -> Field:
     """
     u.require_finite()
     beta = p.beta
-    if not (0.0 < beta < 1.0):
-        raise BetaOutOfRange(
-            f"quadrature oracle requires beta in (0,1) strictly, got {beta}"
-        )
+    in_range(beta, "beta", "(0, 1)", BetaOutOfRange)
     g = u.grid
     if g.points_per_axis > _MAX_QUAD_AXIS:
         raise GridTooLarge(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,23 @@ def test_holder_guards():
     vd.v = vd.v[:1]
     with pytest.raises(TooFewSlices):
         holder_seminorm(vd, 0.5)
+
+
+def test_holder_samples_pairs_beyond_the_pair_budget():
+    # 64^2 nodes have 8.4 million pairs; taking them all peaked at 640 MiB
+    g = make_grid(2, 40.0, 64)
+    rng = np.random.default_rng(0)
+    vd = VDiagnostics(grid=g, times=[0.1 * k for k in range(21)],
+                      v=[rng.random(g.shape) for _ in range(21)],
+                      b_bounds_ok=True, b_min=1.0, b_max=1.0)
+    tracemalloc.start()
+    try:
+        sp, pa = holder_seminorm(vd, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert sp > 0.0 and pa > 0.0
 
 
 def test_sv_gap_ell_two_vanishes():
