@@ -122,12 +122,12 @@ def validate_config(cfg: dict) -> SimpleNamespace:
         check("reports", _exponent, rep["weak_p"], "weak_p", True)
     for gamma in check("reports.holder_gamma", list, rep.get("holder_gamma", [])) or []:
         check("reports.holder_gamma", el.check_holder_gamma, gamma)
-    sv = gn = ladder = None
-    if rep.get("sv"):
+    sv = gn = ladder = None  # a section present and not null is on; {} takes every default
+    if rep.get("sv") is not None:
         sv = check("reports.sv", _sv_spec, rep["sv"])
-    if rep.get("gn") and grid is not None:
+    if rep.get("gn") is not None and grid is not None:
         gn = check("reports.gn", _gn_spec, rep["gn"], grid.dims)
-    if rep.get("ladder") and grid is not None and scfg is not None:
+    if rep.get("ladder") is not None and grid is not None and scfg is not None:
         ladder = check("reports.ladder", _ladder, rep["ladder"], grid.dims, scfg.alpha)
 
     if msgs:
@@ -349,6 +349,10 @@ def _gn_rows(grid, rng, fields, alpha, q) -> list:
 
 
 def _ladder(lad: dict, dims: int, alpha: float):
+    try:
+        in_range(alpha, "alpha", "(0, 1)")
+    except InvalidParameter as e:
+        raise ConfigInvalid(f"solver.alpha: {e.requirement}, as reports.ladder requires") from None
     return el.duality_ladder(dims, alpha, lad.get("rho", 1.0), lad.get("p0", 2.0),
                              lad.get("eps_star", 0.0))
 

@@ -84,7 +84,7 @@ class TailMassTooLarge(FracRDError):
     pass
 
 
-class ExponentOrder(FracRDError):
+class ExponentOrder(InvalidParameter):
     pass
 
 

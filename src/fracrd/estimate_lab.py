@@ -27,8 +27,10 @@ from .errors import (
     RhoInadmissible,
     TooFewSlices,
     ZeroField,
+    as_int,
     in_range,
 )
+from .heat_kernel import KernelSpec
 from .mild_solver import Trajectory, phi_weights
 from .spectral_core import Field, FracPower, frac_power, irfft, lp_norm, rfft
 
@@ -170,12 +172,11 @@ def stroock_varopoulos_gaps(v: Field, alphas, ells) -> np.ndarray:
     at every (ell, alpha), shape (len(ells), len(alphas)).
 
     One transform of v and one of the stacked signed powers serve every gap,
-    each followed by one batched inverse transform.  Every pair is checked,
-    and v must be finite, before any transform.
+    each followed by one batched inverse transform.  Every pair is checked
+    before any transform.
     """
     alphas, ells = [float(a) for a in alphas], [float(ell) for ell in ells]
     check_sv(alphas, ells)
-    v.require_finite()
     grid, x = v.grid, v.values
     ksq, space, vol = grid.wavenumbers_squared(), tuple(range(-grid.dims, 0)), grid.cell_volume
     lap = irfft(rfft(x, grid) * np.stack([ksq**al for al in alphas]), grid)
@@ -253,8 +254,7 @@ def maximal_reg_ratio(f_traj, times, alpha: float, mu: float, grid) -> float:
     trapezoidal rule (exact for forcings linear in t between grid points).
     Returns 0 by convention for identically zero forcing.
     """
-    in_range(alpha, "alpha", "(0, 1]")
-    in_range(mu, "mu", "(0, inf)")
+    KernelSpec(alpha, mu, grid)  # checks the (alpha, mu) ranges
     times = np.asarray(times, dtype=float)
     if len(times) < 2:
         raise NonUniformTimeGrid("need at least two time points")
@@ -393,6 +393,8 @@ def q_hat(dims: int, alpha: float, p: float) -> float:
     p=1 and p=(N+2a)/2a return open suprema ((N+2a)/N and +inf); above the
     critical value every finite exponent (and inf) is reachable.
     """
+    as_int(dims, "dims", lo=1)
+    in_range(alpha, "alpha", "(0, 1]")
     p = in_range(p, "p", "[1, inf]")
     crit = (dims + 2.0 * alpha) / (2.0 * alpha)
     if p == 1:

@@ -149,9 +149,10 @@ def usable_fit_times(spec: KernelSpec, times) -> list:
 
 
 def smoothing_rate_fit(spec: KernelSpec, r: float, p: float, times, beta: float = 0.0) -> SmoothingReport:
-    """Fit the decay slope of ||(-Delta)^beta S(t) phi||_p / ||phi||_r."""
-    if r > p:
-        raise ExponentOrder(f"need r <= p, got r={r}, p={p}")
+    """Fit the decay slope of ||(-Delta)^beta S(t) phi||_p / ||phi||_r, 1 <= r <= p <= inf."""
+    p_min = in_range(r, "r", "[1, inf]")
+    in_range(p, "p", f"[{p_min!r}, inf]", ExponentOrder)
+    in_range(beta, "beta", "[0, inf)")
     usable = usable_fit_times(spec, times)
     if len(usable) < 5:
         raise DegenerateFit(

@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameter, NegativeInitialData, NonFiniteInput, PicardDivergence
-from .errors import as_int, in_range
+from .errors import InvalidParameter, NegativeInitialData, PicardDivergence, as_int, in_range
 from .rds_model import ReactionModel
 from .spectral_core import Field, Grid, irfft, make_grid, rfft
 
@@ -178,8 +177,6 @@ def solve_mild(model: ReactionModel, u0, cfg: SolverConfig) -> Trajectory:
     u = np.stack([f.values for f in u0])
     if u.shape[0] != model.m:
         raise InvalidParameter(f"expected {model.m} species, got {u.shape[0]}")
-    if not np.all(np.isfinite(u)):
-        raise NonFiniteInput("initial data contains NaN/Inf")
     if np.min(u) < 0:
         raise NegativeInitialData(f"negative initial value {np.min(u):.3g}")
 

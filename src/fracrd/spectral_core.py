@@ -114,7 +114,7 @@ def make_grid(dims: int, extent: float, points: int) -> Grid:
 
 @dataclass(frozen=True)
 class Field:
-    """Real scalar lattice function on a Grid."""
+    """Real scalar lattice function on a Grid; its values are finite."""
 
     grid: Grid
     values: np.ndarray = field(repr=False)
@@ -123,13 +123,10 @@ class Field:
         v = np.asarray(self.values, dtype=float)
         if v.shape != self.grid.shape:
             raise InvalidParameter(f"values shape {v.shape} != grid shape {self.grid.shape}")
+        if not np.all(np.isfinite(v)):
+            raise NonFiniteInput("field contains NaN/Inf values")
         object.__setattr__(self, "values", v)
         v.flags.writeable = False
-
-    def require_finite(self):
-        if not np.all(np.isfinite(self.values)):
-            raise NonFiniteInput("field contains NaN/Inf values")
-        return self
 
 
 @dataclass(frozen=True)
@@ -148,8 +145,8 @@ def field_mean(u: Field) -> float:
 
 
 def lp_norm(u: Field, p: float) -> float:
-    """Discrete L^p norm with spacing-weighted sums; p=inf is the lattice max."""
-    if math.isinf(p):
+    """Discrete L^p norm with spacing-weighted sums, p in [1, inf]; p=inf is the lattice max."""
+    if math.isinf(in_range(p, "p", "[1, inf]")):
         return float(np.max(np.abs(u.values)))
     return float((u.grid.cell_volume * np.sum(np.abs(u.values) ** p)) ** (1.0 / p))
 
@@ -182,7 +179,6 @@ def apply_multiplier(u: Field, multiplier: np.ndarray) -> Field:
 
 def frac_power(u: Field, p: FracPower) -> Field:
     """(-Delta)^beta u via the spectral multiplier |xi|^(2 beta)."""
-    u.require_finite()
     ksq = u.grid.wavenumbers_squared()
     return apply_multiplier(u, ksq**p.beta)
 
@@ -307,7 +303,6 @@ def frac_power_quadrature(u: Field, p: FracPower) -> Field:
     a finite-difference Laplacian, and the far field beyond the summed images
     against (u - mean u).
     """
-    u.require_finite()
     beta = p.beta
     in_range(beta, "beta", "(0, 1)", BetaOutOfRange)
     g = u.grid

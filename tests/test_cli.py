@@ -155,10 +155,19 @@ EMPTY_OR_INF = {
                                     [(("reports", "ladder", "eps_star"), "Infinity")]),
     "reports.sv.ell=inf": ("reports.sv.ell", [(("reports", "sv", "ell"), [2, "inf"])]),
 }
+# report sections that are empty without defaults or not objects, and the
+# ladder's need for solver.alpha < 1, which the solver alone does not have,
+# keyed by test id
+SECTIONS = {
+    "reports.gn={}": ("reports.gn", [(("reports", "gn"), {})]),
+    "reports.sv=false": ("reports.sv", [(("reports", "sv"), False)]),
+    "reports.ladder=list": ("reports.ladder", [(("reports", "ladder"), [1.0, 2.0])]),
+    "solver.alpha=1,ladder": ("solver.alpha", [(("solver", "alpha"), 1.0)]),
+}
 DEFECT_IDS = ([d[0] for d in DEFECTS] + list(TRUE_AS_ONE) + list(STRING_AS_NUMBER)
-              + list(MISREAD) + list(EMPTY_OR_INF))
+              + list(MISREAD) + list(EMPTY_OR_INF) + list(SECTIONS))
 DEFECTS += [*TRUE_AS_ONE.values(), *STRING_AS_NUMBER.values(), *MISREAD.values(),
-            *EMPTY_OR_INF.values()]
+            *EMPTY_OR_INF.values(), *SECTIONS.values()]
 
 # Every field validate_config owns, each with valid and invalid values.
 FIELDS = {
@@ -244,6 +253,32 @@ def test_config_defects_fail_before_solve(tmp_path, monkeypatch, capsys, path, m
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "cli")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+def test_ladder_alpha_conflict_names_both_sections():
+    with pytest.raises(ConfigInvalid) as exc:
+        validate_config(_tiny([(("solver", "alpha"), 1.0)]))
+    assert exc.value.messages == [
+        "solver.alpha: must lie in (0, 1), got 1.0, as reports.ladder requires"]
+    assert validate_config(_tiny([(("solver", "alpha"), 1.0), (("reports", "ladder"), None)]))
+
+
+def test_empty_report_section_takes_every_default(tmp_path):
+    man = run_scenario(_tiny([(("reports", "sv"), {}), (("reports", "ladder"), {})]),
+                       outdir=str(tmp_path))
+    with open(tmp_path / "sv.csv", newline="") as fh:
+        _, *rows = csv.reader(fh)
+    assert {row[0] for row in rows} == {str(k) for k in range(20)}
+    assert len(rows) == 20 * 3 * 3  # the default ell and alpha lists
+    assert "ladder.json" in man["files"]
+    with open(tmp_path / "ladder.json") as fh:
+        assert json.load(fh)["sequence"] == el.duality_ladder(1, 0.5, 1.0, 2.0).sequence
+
+
+def test_null_report_section_is_off(tmp_path):
+    man = run_scenario(_tiny([(("reports", key), None) for key in ("sv", "gn", "ladder")]),
+                       outdir=str(tmp_path))
+    assert not {"sv.csv", "gn.csv", "ladder.json"} & set(man["files"])
 
 
 def test_non_numeric_gamma_message_names_the_rule():

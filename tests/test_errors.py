@@ -11,6 +11,7 @@ from fracrd import cli_runner
 from fracrd.errors import (
     BetaOutOfRange,
     EllOutOfRange,
+    ExponentOrder,
     GammaOutOfRange,
     InvalidDims,
     InvalidParameter,
@@ -31,10 +32,16 @@ from fracrd.estimate_lab import (
     maximal_reg_ratio,
     q_hat,
 )
-from fracrd.heat_kernel import KernelSpec, heat_kernel_field, kernel_diagnostics, semigroup_apply
+from fracrd.heat_kernel import (
+    KernelSpec,
+    heat_kernel_field,
+    kernel_diagnostics,
+    semigroup_apply,
+    smoothing_rate_fit,
+)
 from fracrd.mild_solver import SolverConfig
 from fracrd.rds_model import bimolecular
-from fracrd.spectral_core import Field, FracPower, frac_power_quadrature, make_grid
+from fracrd.spectral_core import Field, FracPower, frac_power_quadrature, lp_norm, make_grid
 
 
 @pytest.mark.parametrize("read", [as_int, as_real])
@@ -141,6 +148,14 @@ RANGE_SITES = [
     ("check_gn.q", lambda x: check_gn(3, 0.5, x), QOutOfRange, "q", [INF, 2.0, 3.0]),
     ("check_gn.alpha", lambda x: check_gn(1, x, 4.0), BetaOutOfRange, "alpha", [INF, 0.0, 2.5]),
     ("q_hat.p", lambda x: q_hat(1, 0.5, x), InvalidParameter, "p", [0.5]),
+    ("q_hat.alpha", lambda x: q_hat(1, x, 2.0), InvalidParameter, "alpha", [INF, 0.0, 1.5]),
+    ("lp_norm.p", lambda x: lp_norm(ONES, x), InvalidParameter, "p", [0, 0.5, -1.0]),
+    ("smoothing_rate_fit.r", lambda x: smoothing_rate_fit(SPEC, x, INF, [1.0]),
+     InvalidParameter, "r", [0.0, 0.5, -INF]),
+    ("smoothing_rate_fit.p", lambda x: smoothing_rate_fit(SPEC, 2.0, x, [1.0]),
+     ExponentOrder, "p", [1.0, 1.5]),
+    ("smoothing_rate_fit.beta", lambda x: smoothing_rate_fit(SPEC, 1.0, 2.0, [1.0], x),
+     InvalidParameter, "beta", [INF, -1.0]),
     ("duality_ladder.alpha", lambda x: duality_ladder(2, x, 1.0, 2.0),
      InvalidParameter, "alpha", [0.0, 1.0]),
     ("duality_ladder.rho", lambda x: duality_ladder(2, 0.5, x, 2.0),
@@ -175,6 +190,13 @@ def test_every_range_rule_rejects_nan_inf_and_true(call, cls, name, bad):
         assert exc.value.name == name, x
 
 
+def test_q_hat_dims_is_an_integer_of_at_least_one():
+    for dims in (0, 1.0, True):
+        with pytest.raises(InvalidParameter) as exc:
+            q_hat(dims, 0.5, 1.0)
+        assert exc.value.name == "dims"
+
+
 # the phrases of a range rule's message; only errors.in_range writes them
 RANGE_PHRASES = ("must lie in", "must be positive", "must be >=", "must exceed",
                  "must be nonnegative")
@@ -191,3 +213,34 @@ def test_range_messages_are_written_only_by_in_range():
                                 if isinstance(c, ast.Constant) and isinstance(c.value, str))
                 found += [(path.name, node.lineno) for p in RANGE_PHRASES if p in text]
     assert not found
+
+
+def _raisers(tree, name):
+    """Qualified names of the functions in tree that raise the exception class name."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and exc.id == name:
+                    found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_finiteness_is_checked_only_by_field_and_the_raw_forcing():
+    raisers, left = [], []
+    for path in sorted(Path(fracrd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        raisers += [f"{path.stem}.{q}" for q in _raisers(tree, "NonFiniteInput")]
+        left += [(path.name, node.lineno) for node in ast.walk(tree)
+                 if "require_finite" in (getattr(node, "attr", None), getattr(node, "name", None))]
+    assert sorted(raisers) == ["estimate_lab.maximal_reg_ratio",
+                               "spectral_core.Field.__post_init__"]
+    assert not left

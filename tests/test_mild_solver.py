@@ -130,6 +130,10 @@ def test_input_guards():
     with pytest.raises(NegativeInitialData):
         solve_mild(model, [Field(g, neg_vals), neg[1]],
                    SolverConfig(dt=0.1, horizon=0.2))
+    nan_vals = np.full(g.shape, 1.0)
+    nan_vals[3] = np.nan
+    with pytest.raises(NonFiniteInput):
+        solve_mild(model, [Field(g, nan_vals), neg[1]], SolverConfig(dt=0.1, horizon=0.2))
     with pytest.raises(ValueError):
         SolverConfig(dt=1.0, horizon=0.5)
     with pytest.raises(ValueError):

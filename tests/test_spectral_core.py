@@ -104,6 +104,16 @@ def test_frac_power_rejects_nonfinite(g64):
         frac_power(Field(g64, vals), FracPower(0.5))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dims", [1, 2])
+def test_field_rejects_nonfinite_values(dims, bad):
+    g = make_grid(dims, 2 * np.pi, 16)
+    vals = np.ones(g.shape)
+    vals.flat[5] = bad
+    with pytest.raises(NonFiniteInput, match="field contains NaN/Inf values"):
+        Field(g, vals)
+
+
 def test_frac_power_beta_range():
     with pytest.raises(BetaOutOfRange):
         FracPower(0.0)
