@@ -36,7 +36,7 @@ from .errors import (
 )
 from .mild_solver import SolverConfig, save_checkpoint, solve_mild
 from .rds_model import get_model, polynomial_model
-from .spectral_core import Field, make_grid
+from .spectral_core import Field, irfft, make_grid
 
 SCHEMA_VERSION = 1
 OUTPUT_ROOT_ENV = "FRACRD_OUTPUT_ROOT"
@@ -174,7 +174,7 @@ def build_model(cfg: dict):
         model = _at("model", _inline_model, spec)
     else:
         raise ConfigInvalid(["model: must be a registry name or inline definition"])
-    if cfg.get("diffusivities"):
+    if cfg.get("diffusivities") is not None:
         model = _at("", model.with_diffusivities, cfg["diffusivities"])
     return model
 
@@ -235,17 +235,20 @@ def make_profile(grid, spec: dict, rng: np.random.Generator) -> Field:
 
 
 def random_band_limited(grid, rng, modes: int = 8) -> Field:
-    """Zero-mean random trigonometric polynomial (signed, for sweeps)."""
-    coords = grid.coord_arrays()
-    base = 2.0 * np.pi / grid.extent
-    vals = np.zeros(grid.shape)
+    """Random trigonometric polynomial (signed, for sweeps): modes terms
+    a cos(2 pi k.x / L + phase), k in {1..modes}^N, zero-mean while modes < n
+    (the points per axis).  Built as the Fourier coefficients a e^(i phase)
+    n^N / 2 at k and their conjugates at -k, both folded onto the grid, and
+    one inverse transform."""
+    n = grid.points_per_axis
+    spectrum = np.zeros(grid.shape, dtype=complex)
     for _ in range(modes):
         k = rng.integers(1, modes + 1, size=grid.dims)
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        vals += rng.standard_normal() * np.cos(
-            sum(base * k[ax] * coords[ax] for ax in range(grid.dims)) + phase
-        )
-    return Field(grid, vals)
+        c = rng.standard_normal() * np.exp(1j * phase) * grid.node_count / 2.0
+        spectrum[tuple(k % n)] += c
+        spectrum[tuple(-k % n)] += c.conjugate()
+    return Field(grid, irfft(spectrum[..., : n // 2 + 1], grid))
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,10 @@ Each window of length dt advances the stacked species state with an
 exponential (phi1/phi2) trapezoidal rule: the diffusion semigroup is applied
 exactly as a Fourier multiplier, and the Duhamel integral of the reaction
 term is approximated by its exponential trapezoidal weights, which is exact
-for forcings linear in time.  The fixed point of the resulting map is found
+for forcings linear in time.  The forward transform of the reaction term
+covers the rows f returns, the R fluxes of a model with a stoichiometry
+(one for the bimolecular model, not four species rates); the stoichiometry
+is applied to their spectra.  The fixed point of the resulting map is found
 by Picard iteration in the relative sup norm, to a change of PICARD_TOL =
 1e-8: a fraction of the time-discretisation error, which is 2e-8 or more on
 every bench scenario.
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameter, NegativeInitialData, PicardDivergence, as_int, in_range
-from .rds_model import ReactionModel
+from .rds_model import ReactionModel, reaction_terms, species_rates
 from .spectral_core import Field, Grid, irfft, make_grid, rfft
 
 
@@ -108,7 +111,8 @@ class _Stepper:
         self.grid = grid
         self.model = model
         self.lam = grid.wavenumbers_squared() ** alpha  # |xi|^(2 alpha)
-        self.mask = grid.dealias_mask() if dealias else None
+        # complex multipliers, so no product with a spectrum casts them again
+        self.mask = grid.dealias_mask().astype(complex) if dealias else None
         self._cache = {}
 
     def weights(self, dt: float):
@@ -118,17 +122,16 @@ class _Stepper:
             pass
         d = np.reshape(self.model.d, (-1,) + (1,) * self.grid.dims)
         E, phi1, phi2 = phi_weights(d * dt * self.lam)  # each (m, ...)
-        w = E, dt * phi1, dt * (phi1 - phi2), dt * phi2
+        w = tuple(x.astype(complex) for x in (E, dt * phi1, dt * (phi1 - phi2), dt * phi2))
         if len(self._cache) < 64:
             self._cache[dt] = w
         return w
 
     def _rates_hat(self, u: np.ndarray, t: float) -> np.ndarray:
-        f = np.asarray(self.model.f(u, t), dtype=float)
-        fhat = rfft(f, self.grid)
+        fhat = rfft(reaction_terms(self.model, u, t), self.grid)
         if self.mask is not None:
             fhat *= self.mask
-        return fhat
+        return species_rates(self.model, fhat)
 
     def step(self, start, t: float, dt: float, fhat_prev=None):
         """One Duhamel window from start = (u, uhat, fhat_n, sup |u|); returns
@@ -149,7 +152,7 @@ class _Stepper:
             fhat_w = self._rates_hat(w, t + dt)
             what = base + dphi2 * fhat_w
             w_new = irfft(what, self.grid)
-            sup = float(np.max(np.abs(w_new)))  # NaN or inf iff some entry is
+            sup = max(float(w_new.max()), -float(w_new.min()))  # NaN or inf iff some entry is
             if not np.isfinite(sup):
                 raise PicardDivergence(f"non-finite iterate at t={t:.6g}, dt={dt:.3g}",
                                        it, float("nan"), "non-finite")

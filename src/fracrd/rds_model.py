@@ -1,7 +1,8 @@
 """Reaction-system definitions and sampling-based assumption checks.
 
 A ReactionModel bundles the species count, diffusivities, the (vectorised)
-rate map, and declared metadata for the structural assumptions:
+reaction map with its optional stoichiometry, and declared metadata for the
+structural assumptions:
 quasi-positivity, mass dissipation/conservation, quadratic growth, the
 triangular intermediate sum condition, and the polynomial upper bound.
 Checks are falsification-only: a passing report means no violation was
@@ -42,18 +43,33 @@ class Assumption(Enum):
     POL = "Pol"
 
 
+def _real_rows(rows, m: int, width, name: str) -> np.ndarray:
+    """rows as an (m, width) array of finite reals; width None takes any one
+    row length R >= 1."""
+    if np.iterable(rows) and len(rows) == m and all(map(np.iterable, rows)):
+        lengths = {len(row) for row in rows}
+        if lengths == {width} or width is None and len(lengths) == 1 and 0 not in lengths:
+            return np.array([[as_real(x, name, finite=True) for x in row] for row in rows])
+    raise InvalidParameter(f"must be {m} rows of {width or 'R >= 1'} numbers, got {rows!r}", name)
+
+
 @dataclass(frozen=True)
 class ReactionModel:
-    """m-species reaction system u_t + d_i (-Delta)^a u_i = f_i(u)."""
+    """m-species reaction system u_t + d_i (-Delta)^a u_i = f_i(u).
+
+    f(u, t) takes the stacked (m, ...) state.  Without a stoichiometry it
+    returns the m species rates; with an (m, R) stoichiometry S it returns the
+    R reaction fluxes r, and the species rates are S @ r."""
 
     name: str
     m: int
     d: tuple
-    f: object  # callable(u, t) -> rates; u has shape (m, ...) stacked
+    f: object  # callable(u, t) -> (R, ...) array, R = m without a stoichiometry
     isc_matrix: np.ndarray | None = None
     rho: float | None = None
     nu: float | None = None
     growth_c: float | None = None
+    stoichiometry: np.ndarray | None = None
 
     def __post_init__(self):
         if not np.iterable(self.d) or len(self.d) != self.m:
@@ -64,12 +80,7 @@ class ReactionModel:
             if getattr(self, key) is not None:
                 object.__setattr__(self, key, as_real(getattr(self, key), key, finite=True))
         if self.isc_matrix is not None:
-            rows = self.isc_matrix
-            if not np.iterable(rows) or len(rows) != self.m or any(
-                    not np.iterable(row) or len(row) != self.m for row in rows):
-                raise InvalidParameter(f"must be {self.m} rows of {self.m} numbers, got {rows!r}",
-                                       "isc_matrix")
-            a = np.array([[as_real(x, "isc_matrix", finite=True) for x in row] for row in rows])
+            a = _real_rows(self.isc_matrix, self.m, self.m, "isc_matrix")
             if not np.allclose(np.triu(a, 1), 0.0):
                 raise InvalidParameter("must be lower triangular", "isc_matrix")
             if not np.allclose(np.diag(a), 1.0):
@@ -77,6 +88,10 @@ class ReactionModel:
             if np.any(a < 0):
                 raise InvalidParameter("must have nonnegative entries", "isc_matrix")
             object.__setattr__(self, "isc_matrix", a)
+        if self.stoichiometry is not None:
+            s = _real_rows(self.stoichiometry, self.m, None, "stoichiometry")
+            s.flags.writeable = False
+            object.__setattr__(self, "stoichiometry", s)
 
     def with_diffusivities(self, d) -> "ReactionModel":
         return replace(self, d=d)
@@ -93,15 +108,43 @@ class AssumptionReport:
         return not self.violations
 
 
+def reaction_terms(model: ReactionModel, u: np.ndarray, t: float) -> np.ndarray:
+    """f(u, t) on the stacked (m, ...) state u: the R fluxes, or the m rates
+    when the model has no stoichiometry; raises InvalidParameter("f") unless
+    it holds one row per reaction over u's grid shape."""
+    terms = np.asarray(model.f(u, t), dtype=float)
+    s = model.stoichiometry
+    shape = (model.m if s is None else s.shape[1],) + u.shape[1:]
+    if terms.shape != shape:
+        raise InvalidParameter(f"must return shape {shape} on a state of shape {u.shape}, "
+                               f"got {terms.shape}", "f")
+    return terms
+
+
+def species_rates(model: ReactionModel, terms: np.ndarray) -> np.ndarray:
+    """The (m, ...) species rates from reaction_terms' output, or from its
+    spectrum: stoichiometry @ terms over the leading axis, the columns added
+    in order; the terms themselves when the model has no stoichiometry."""
+    s = model.stoichiometry
+    if s is None:
+        return terms
+    pairs = terms.view(float) if np.iscomplexobj(terms) else terms  # complex entries as real pairs
+    s = s.reshape(s.shape + (1,) * (pairs.ndim - 1))
+    rates = s[:, 0] * pairs[0]
+    for r in range(1, s.shape[1]):
+        rates += s[:, r] * pairs[r]
+    return rates.view(terms.dtype)
+
+
 def eval_reactions(model: ReactionModel, state, t: float = 0.0):
-    """Evaluate the rates nodewise on a stacked (m, ...) state array."""
+    """Evaluate the species rates nodewise on a stacked (m, ...) state array."""
     u = np.asarray(state, dtype=float)
     scale = max(float(np.max(np.abs(u))), 1.0)
     if np.min(u) < -STATE_TOL * scale:
         raise NegativeStateBeyondTolerance(
             f"state component {np.min(u):.3g} below -{STATE_TOL * scale:.3g}"
         )
-    rates = np.asarray(model.f(u, t), dtype=float)
+    rates = species_rates(model, reaction_terms(model, u, t))
     if not np.all(np.isfinite(rates)):
         raise NonFiniteRate("reaction map produced NaN/Inf")
     return rates
@@ -169,11 +212,10 @@ def conservative_lift(model: ReactionModel, count: int = 200) -> ReactionModel:
         raise DissipationViolated(
             f"model fails (M) at {len(rep.violations)} sampled states"
         )
-    base_f = model.f
     m = model.m
 
     def lifted(u, t):
-        f = np.asarray(base_f(u[:m], t), dtype=float)
+        f = species_rates(model, reaction_terms(model, u[:m], t))
         g_extra = -np.sum(f, axis=0, keepdims=True)
         return np.concatenate([f, g_extra], axis=0)
 
@@ -190,15 +232,12 @@ def conservative_lift(model: ReactionModel, count: int = 200) -> ReactionModel:
 # Built-in models
 # ----------------------------------------------------------------------
 
-def _bimolecular_rates(u, t):
-    # shared subexpression: the signed copies cancel exactly in the sum
-    r = u[0] * u[2] - u[1] * u[3]
-    return np.stack([-r, r, -r, r])
+def _bimolecular_flux(u, t):
+    return (u[0] * u[2] - u[1] * u[3])[None]
 
 
-def _dissipative_pair_rates(u, t):
-    r = u[0] * u[1]
-    return np.stack([-r, -r])
+def _dissipative_pair_flux(u, t):
+    return (u[0] * u[1])[None]
 
 
 def _superquadratic_rates(u, t):
@@ -207,13 +246,15 @@ def _superquadratic_rates(u, t):
 
 
 def bimolecular() -> ReactionModel:
-    """S1 + S3 <-> S2 + S4 with rates f_i = (-1)^i (u1 u3 - u2 u4)."""
+    """S1 + S3 <-> S2 + S4 with rates f_i = (-1)^i (u1 u3 - u2 u4): one flux,
+    so the signed copies cancel exactly in the sum."""
     return ReactionModel(
         name="bimolecular",
         m=4,
         d=(1.0, 1.0, 1.0, 1.0),
-        f=_bimolecular_rates,
+        f=_bimolecular_flux,
         growth_c=1.0,
+        stoichiometry=((-1.0,), (1.0,), (-1.0,), (1.0,)),
     )
 
 
@@ -223,8 +264,9 @@ def dissipative_pair() -> ReactionModel:
         name="dissipative-pair",
         m=2,
         d=(1.0, 1.0),
-        f=_dissipative_pair_rates,
+        f=_dissipative_pair_flux,
         growth_c=1.0,
+        stoichiometry=((-1.0,), (-1.0,)),
     )
 
 

@@ -120,7 +120,7 @@ class Field:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)  # a copy: locking it leaves the caller's array alone
         if v.shape != self.grid.shape:
             raise InvalidParameter(f"values shape {v.shape} != grid shape {self.grid.shape}")
         if not np.all(np.isfinite(v)):

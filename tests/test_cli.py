@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from fracrd.cli_runner import (
 )
 from fracrd.errors import ConfigInvalid, EmptyValues, InvalidParameter, UnknownAxis
 from fracrd.mild_solver import load_checkpoint
+from fracrd.spectral_core import make_grid
 
 DEMO = {
     "schema_version": 1,
@@ -164,10 +166,13 @@ SECTIONS = {
     "reports.ladder=list": ("reports.ladder", [(("reports", "ladder"), [1.0, 2.0])]),
     "solver.alpha=1,ladder": ("solver.alpha", [(("solver", "alpha"), 1.0)]),
 }
+# falsy diffusivities, which used to keep the model's own, keyed by test id
+FALSY = {f"diffusivities={v!r}": ("diffusivities", [(("diffusivities",), v)])
+         for v in ([], 0, False)}
 DEFECT_IDS = ([d[0] for d in DEFECTS] + list(TRUE_AS_ONE) + list(STRING_AS_NUMBER)
-              + list(MISREAD) + list(EMPTY_OR_INF) + list(SECTIONS))
+              + list(MISREAD) + list(EMPTY_OR_INF) + list(SECTIONS) + list(FALSY))
 DEFECTS += [*TRUE_AS_ONE.values(), *STRING_AS_NUMBER.values(), *MISREAD.values(),
-            *EMPTY_OR_INF.values(), *SECTIONS.values()]
+            *EMPTY_OR_INF.values(), *SECTIONS.values(), *FALSY.values()]
 
 # Every field validate_config owns, each with valid and invalid values.
 FIELDS = {
@@ -567,3 +572,30 @@ def test_load_config_roundtrip(tmp_path):
     p = tmp_path / "c.json"
     p.write_text(json.dumps(_demo()))
     assert load_config(p) == _demo()
+
+
+def _cos_sum_band_limited(grid, rng, modes):
+    """The random band-limited field as its defining sum of cosines on the grid."""
+    coords = grid.coord_arrays()
+    base = 2.0 * np.pi / grid.extent
+    vals = np.zeros(grid.shape)
+    for _ in range(modes):
+        k = rng.integers(1, modes + 1, size=grid.dims)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        vals += rng.standard_normal() * np.cos(
+            sum(base * k[ax] * coords[ax] for ax in range(grid.dims)) + phase)
+    return vals
+
+
+@pytest.mark.parametrize("dims,points,modes", [
+    (1, 8, 8), (1, 16, 8), (2, 8, 8), (2, 16, 8), (3, 8, 8), (3, 16, 8),  # modes fold past n/2
+    (1, 128, 8), (2, 128, 8), (3, 32, 3), (1, 128, 1),
+])
+def test_random_band_limited_is_its_cosine_sum(dims, points, modes):
+    g = make_grid(dims, 40.0, points)
+    for seed in range(3):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = cli_runner.random_band_limited(g, ours, modes).values
+        want = _cos_sum_band_limited(g, ref, modes)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert ours.bit_generator.state == ref.bit_generator.state  # the same draws

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib.util
 import math
 import warnings
@@ -23,7 +24,7 @@ from fracrd.mild_solver import (
     save_checkpoint,
     solve_mild,
 )
-from fracrd.rds_model import ReactionModel, bimolecular, dissipative_pair
+from fracrd.rds_model import ReactionModel, bimolecular, dissipative_pair, eval_reactions
 from fracrd.spectral_core import Field, make_grid, rfft
 
 
@@ -340,12 +341,60 @@ def test_rate_evaluated_once_per_iteration_plus_initial_data():
         calls.append(t)
         return model.f(u, t)
 
-    counted = ReactionModel("counted", model.m, model.d, rates)
+    counted = dataclasses.replace(model, f=rates)  # keeps the stoichiometry
     u0 = [make_profile(g, spec, None) for spec in README_DATA]
     traj = solve_mild(counted, u0, SolverConfig(dt=0.02, horizon=1.0, alpha=0.5))
     rec = traj.step_diagnostics
     assert len(traj.step_times) == 51  # no rejected window
     assert len(calls) == 1 + rec.picard_iterations[1:].sum()
+
+
+def _stacked_bimolecular_rates(u, t):
+    r = u[0] * u[2] - u[1] * u[3]
+    return np.stack([-r, r, -r, r])
+
+
+@pytest.mark.parametrize("dims,points,amplitude", [(1, 64, 50.0), (2, 16, 1.0)])
+@pytest.mark.parametrize("dealias", [True, False])
+def test_stoichiometric_model_matches_its_stacked_rates(dims, points, amplitude, dealias):
+    # one transformed flux times (-1, 1, -1, 1) gives the bits of four transformed rates
+    g = make_grid(dims, 40.0, points)
+    flux = bimolecular().with_diffusivities(README_D)
+    stacked = ReactionModel("stacked", 4, README_D, _stacked_bimolecular_rates)
+    u0 = [make_profile(g, dict(spec, amplitude=amplitude * spec["amplitude"]), None)
+          for spec in README_DATA]
+    cfg = SolverConfig(dt=0.02, horizon=0.5, alpha=0.5, dealias=dealias)
+    a, b = solve_mild(flux, u0, cfg), solve_mild(stacked, u0, cfg)
+    assert (a.step_times[1] == 0.01) == (amplitude == 50.0)  # the stiff first window is rejected
+    assert a.step_times.tobytes() == b.step_times.tobytes()
+    assert a.step_diagnostics.tobytes() == b.step_diagnostics.tobytes()
+    assert a.times == b.times and len(a.states) == len(b.states)
+    for x, y in zip(a.states, b.states):
+        assert x.tobytes() == y.tobytes()
+        assert eval_reactions(flux, x).tobytes() == eval_reactions(stacked, x).tobytes()
+
+
+@pytest.mark.parametrize("model", [
+    ReactionModel("short", 4, (1.0,) * 4, lambda u, t: -u[:1] * u[2:3]),  # rate form, 1 row of 4
+    ReactionModel("long", 4, (1.0,) * 4, _stacked_bimolecular_rates,  # flux form, 4 rows of 1
+                  stoichiometry=[[-1.0], [1.0], [-1.0], [1.0]]),
+    ReactionModel("flat", 4, (1.0,) * 4, lambda u, t: u[0] * u[2] - u[1] * u[3],  # no row axis
+                  stoichiometry=[[-1.0], [1.0], [-1.0], [1.0]]),
+], ids=lambda m: m.name)
+def test_rate_map_of_the_wrong_shape_fails_before_any_window(model):
+    g = make_grid(1, 10.0, 16)
+    calls = []
+
+    def rates(u, t):
+        calls.append(t)
+        return model.f(u, t)
+
+    u0 = [Field(g, np.full(g.shape, c)) for c in (1.0, 0.0, 1.0, 0.0)]
+    with pytest.raises(InvalidParameter, match=r"^f must return shape \((1|4), 16\)") as info:
+        solve_mild(dataclasses.replace(model, f=rates), u0, SolverConfig(dt=0.1, horizon=1.0))
+    assert info.value.name == "f" and calls == [0.0]
+    with pytest.raises(InvalidParameter, match=r"on a state of shape \(4, 3\)"):
+        eval_reactions(model, np.ones((4, 3)))
 
 
 @pytest.mark.parametrize("dims,points", [(1, 64), (2, 16)])

@@ -104,6 +104,35 @@ def test_isc_matrix_validation():
                       isc_matrix=np.array([[1.0, 0.0], [-1.0, 1.0]]))
 
 
+def test_stoichiometry_sets_the_rows_f_returns():
+    model = bimolecular()
+    assert model.stoichiometry.tolist() == [[-1.0], [1.0], [-1.0], [1.0]]
+    assert dissipative_pair().stoichiometry.tolist() == [[-1.0], [-1.0]]
+    assert superquadratic_isc().stoichiometry is None
+    with pytest.raises(ValueError, match="read-only"):
+        model.stoichiometry[0, 0] = 2.0
+    # two fluxes, the species rates combine them column by column
+    two = ReactionModel("two", 2, (1, 1), lambda u, t: np.stack([u[0], u[1]]),
+                        stoichiometry=[[-1, 2], [0.5, -1]])
+    assert eval_reactions(two, np.array([2.0, 3.0])).tolist() == [4.0, -2.0]
+
+
+@pytest.mark.parametrize("rows", [
+    [[-1.0], [1.0], [-1.0]],  # a row short
+    [[-1.0], [1.0], [-1.0], [1.0, 0.0]],  # ragged
+    [[], [], [], []],  # no reaction
+    [[-1.0], [1.0], [-1.0], [float("nan")]],
+    [[-1.0], [1.0], [-1.0], [float("inf")]],
+    [[-1.0], [1.0], [-1.0], [True]],
+    [-1.0, 1.0, -1.0, 1.0],  # not rows
+    "abcd",
+], ids=repr)
+def test_stoichiometry_must_be_m_rows_of_finite_reals(rows):
+    with pytest.raises(InvalidParameter) as info:
+        ReactionModel("x", 4, (1,) * 4, lambda u, t: u[:1], stoichiometry=rows)
+    assert info.value.name == "stoichiometry"
+
+
 def test_conservative_lift_bimolecular():
     lifted = conservative_lift(bimolecular())
     assert lifted.m == 5 and lifted.d[-1] == 1.0

@@ -83,6 +83,13 @@ def test_field_requires_matching_shape(g64):
         Field(g64, np.zeros(32))
 
 
+def test_field_copies_and_locks_its_values(g64):
+    a = np.ones(64)
+    u = Field(g64, a)
+    a[0] = 2.0  # the caller's array stays writable and apart from the field
+    assert u.values[0] == 1.0 and not u.values.flags.writeable
+
+
 def test_frac_power_constant_is_zero(g64):
     u = Field(g64, np.full(g64.shape, 3.7))
     out = frac_power(u, FracPower(0.5))
