@@ -230,61 +230,86 @@ def gn_ratio(v: Field, alpha: float, q: float) -> float:
 # Maximal regularity
 # ----------------------------------------------------------------------
 
-def _forced_history(fhat, dt, E, phi1, phi2) -> np.ndarray:
-    """Histories u[k] of u' + lam u = f, u(0) = 0, along fhat's first axis by the exponential
+MAXREG_BLOCK_BYTES = 128 * 1024  # forcing bytes per time block: the block's spectra stay in cache
+
+
+def _forced_history(fhat, dt, E, phi1, phi2, u0=0.0) -> np.ndarray:
+    """Histories u[k] of u' + lam u = f, u(0) = u0, along fhat's first axis by the exponential
     trapezoidal rule u[k+1] = E u[k] + dt((phi1 - phi2) f[k] + phi2 f[k+1])."""
-    g = dt * ((phi1 - phi2) * fhat[:-1] + phi2 * fhat[1:])
-    u = np.zeros_like(fhat)
-    # E in u's dtype once, so no step pays numpy's buffered float -> complex
-    # cast; the steps are bound by ufunc call overhead, hence local names and
-    # positional out arguments
-    E = E.astype(u.dtype)
+    u = np.empty_like(fhat)
+    u[0] = u0
+    # the forcing terms go straight into u[1:], each step then adds E u[k]
+    g = u[1:]
+    np.multiply(phi1 - phi2, fhat[:-1], out=g)
+    g += phi2 * fhat[1:]
+    g *= dt
+    # E in u's dtype and a step's full shape once, so no step pays numpy's
+    # buffered float -> complex cast or a broadcast; the steps are bound by
+    # ufunc call overhead, hence local names and positional out arguments
+    E = np.broadcast_to(E, u.shape[1:]).astype(u.dtype, order="C")
+    Eu = np.empty_like(u[0])
     multiply, add = np.multiply, np.add
-    for gk, uk, uk1 in zip(g, u, u[1:]):
-        multiply(E, uk, uk1)
-        add(uk1, gk, uk1)
+    for uk, uk1 in zip(u, g):
+        multiply(E, uk, Eu)
+        add(uk1, Eu, uk1)
     return u
 
 
-def maximal_reg_ratio(f_traj, times, alpha: float, mu: float, grid) -> float:
+def maximal_reg_ratio(f_traj, times, alpha: float, mu: float, grid) -> float | np.ndarray:
     """||(-Dl)^a u||_{L2(Q)} / ||f||_{L2(Q)} for u solving the forced
     fractional heat equation with zero initial datum.
 
-    Each Fourier mode is a scalar linear ODE advanced with the exponential
-    trapezoidal rule (exact for forcings linear in t between grid points).
-    Returns 0 by convention for identically zero forcing.
+    f_traj has shape (nt, *batch, *grid.shape); the result is a float without
+    batch axes and an array of shape batch otherwise, each entry the ratio of
+    its own forcing.  Each Fourier mode is a scalar linear ODE advanced with
+    the exponential trapezoidal rule (exact for forcings linear in t between
+    grid points), in time blocks of about MAXREG_BLOCK_BYTES of forcing, so no
+    array spans the whole spectral history.  Returns 0 by convention for
+    identically zero forcing.
     """
     KernelSpec(alpha, mu, grid)  # checks the (alpha, mu) ranges
     times = np.asarray(times, dtype=float)
-    if len(times) < 2:
-        raise NonUniformTimeGrid("need at least two time points")
+    if times.ndim != 1 or len(times) < 2:
+        raise NonUniformTimeGrid("need one axis of at least two time points")
     dts = np.diff(times)
-    if not np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
+    dt = in_range(float(dts[0]), "times", "(0, inf)", NonUniformTimeGrid)
+    if not np.allclose(dts, dt, rtol=1e-9, atol=0.0):
         raise NonUniformTimeGrid("time grid must be uniform")
-    dt = float(dts[0])
 
     f = np.asarray(f_traj, dtype=float)
-    if f.shape != (len(times),) + grid.shape:
-        raise InvalidParameter("f_traj must have shape (nt, *grid.shape)")
+    nt, dims = len(times), grid.dims
+    if f.ndim < 1 + dims or f.shape[0] != nt or f.shape[f.ndim - dims:] != grid.shape:
+        raise InvalidParameter("f_traj must have shape (nt, *batch, *grid.shape)")
     if not np.isfinite(f).all():
         raise NonFiniteInput("f_traj contains NaN/Inf values")
-    if not np.any(f):
-        return 0.0
+    batch = f.shape[1:f.ndim - dims]
+    f = f.reshape((nt, -1) + grid.shape)
+    space = tuple(range(2, f.ndim))
 
     lam = grid.wavenumbers_squared() ** alpha
-    uhat = _forced_history(rfft(f, grid), dt, *phi_weights(mu * dt * lam))
-
+    weights = phi_weights(mu * dt * lam)
     # ||(-Dl)^a u(t_k)||_2^2 and ||f(t_k)||_2^2 by Parseval-free physical
-    # evaluation, all steps at once; g is reused as the buffer for both
-    space = tuple(range(1, f.ndim))
-    uhat *= lam
-    g = irfft(uhat, grid)
-    gsq = grid.cell_volume * np.sum(np.square(g, out=g), axis=space)
-    fsq = grid.cell_volume * np.sum(np.square(f, out=g), axis=space)
+    # evaluation; a block's first row is the previous block's last
+    gsq, fsq = np.zeros(f.shape[:2]), np.empty(f.shape[:2])
+    steps = max(1, MAXREG_BLOCK_BYTES // f[0].nbytes)
+    u = 0.0
+    for k0 in range(0, nt - 1, steps):
+        fk = f[k0:k0 + steps + 1]
+        uhat = _forced_history(rfft(fk, grid), dt, *weights, u)
+        u = uhat[-1].copy()
+        uhat[1:] *= lam
+        g = irfft(uhat[1:], grid)
+        gsq[k0 + 1:k0 + steps + 1] = grid.cell_volume * np.sum(np.square(g, out=g), axis=space)
+        fsq[k0:k0 + steps + 1] = grid.cell_volume * np.sum(np.square(fk), axis=space)
 
-    w = np.full(len(times), dt)
+    w = np.full(nt, dt)
     w[0] = w[-1] = 0.5 * dt  # trapezoidal time quadrature
-    return math.sqrt(float(np.dot(w, gsq))) / math.sqrt(float(np.dot(w, fsq)))
+    # one contiguous row per entry, so np.dot sums as it does for one forcing
+    ratios = np.zeros(f.shape[1])
+    for j, (gj, fj) in enumerate(zip(gsq.T.copy(), fsq.T.copy())):
+        if np.any(f[:, j]):
+            ratios[j] = math.sqrt(float(np.dot(w, gj))) / math.sqrt(float(np.dot(w, fj)))
+    return ratios.reshape(batch) if batch else float(ratios[0])
 
 
 def solve_forced_mode(times, lam: float, mu: float, fhat) -> np.ndarray:

@@ -395,6 +395,25 @@ BENCH_TRACED = ("solve_mild", "save_checkpoint", "make_profile", "validate_confi
                 "build_model", "get_model")
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_inequalities_maxreg_rows_match_per_field_loop(seed):
+    """The suite passes its forcings to maximal_reg_ratio in groups; the rows
+    must be those of one call per field, drawn 50 per mu in the same order."""
+    rows = [r for r in cli_runner._suite_inequalities(seed)[1] if r[0] == "maxreg"]
+    rng = np.random.default_rng(seed)
+    g = make_grid(1, 2.0 * np.pi, 128)
+    cli_runner._sv_rows(g, rng, 100, (2.0, 3.0, 4.0), (0.3, 0.5, 0.9), [])
+    cli_runner._gn_rows(g, rng, 100, 0.5, 4.0)
+    times = np.linspace(0.0, 4.0, 801)
+    expected = []
+    for mu in (0.5, 1.0, 2.0):
+        for k in range(50):
+            fld = cli_runner.random_band_limited(g, rng)
+            ftraj = np.exp(-times)[:, None] * fld.values[None, :]
+            expected.append(["maxreg", k, mu, 0.5, el.maximal_reg_ratio(ftraj, times, 0.5, mu, g)])
+    assert rows == expected
+
+
 def test_bench_hooks_are_module_globals(tmp_path, monkeypatch):
     # bench/worker.py reads these directly
     assert callable(cli_runner.load_config)

@@ -334,6 +334,38 @@ def test_maxreg_uniform_grid_guard():
         maximal_reg_ratio(np.zeros((3,) + g.shape), times, 0.5, 1.0, g)
 
 
+@pytest.mark.parametrize("times", [np.zeros(11), np.linspace(1.0, 0.0, 11),
+                                   np.linspace(0.0, 1.0, 22).reshape(2, 11)],
+                         ids=["constant", "decreasing", "two-axes"])
+def test_maxreg_rejects_bad_time_grid_before_any_transform(times, monkeypatch):
+    g = make_grid(1, 2 * np.pi, 64)
+    f = np.ones((11,) + g.shape)
+
+    def no_transform(*args):
+        raise AssertionError("transform before the time grid was checked")
+
+    monkeypatch.setattr("fracrd.estimate_lab.rfft", no_transform)
+    with pytest.raises(NonUniformTimeGrid):
+        maximal_reg_ratio(f, times, 0.5, 1.0, g)
+
+
+def test_maxreg_memory_is_a_fraction_of_the_forcing():
+    g = make_grid(1, 2 * np.pi, 128)
+    times = np.linspace(0.0, 4.0, 4001)
+    f = np.exp(-times)[:, None] * random_band_limited(g, np.random.default_rng(0)).values
+    tracemalloc.start()
+    try:
+        maximal_reg_ratio(f, times, 0.5, 1.0, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole spectral history alone would be 4.2 MB, the forcing 4.1 MB
+    assert peak < f.nbytes / 3
+    fhat = np.exp(-times)
+    solve_forced_mode(times, 3.0, 1.0, fhat)
+    assert np.array_equal(fhat, np.exp(-times))
+
+
 def test_norm_report_constant_field():
     g = make_grid(1, 10.0, 8)
     traj = _const_traj(g, (2.0,), [0.0, 0.5, 1.0])

@@ -8,11 +8,12 @@ from fracrd.errors import (
     BetaOutOfRange,
     GridTooLarge,
     InvalidDims,
+    InvalidParameter,
     MemoryBudgetExceeded,
     NonFiniteInput,
     NotPowerOfTwo,
 )
-from fracrd.estimate_lab import maximal_reg_ratio
+from fracrd.estimate_lab import MAXREG_BLOCK_BYTES, maximal_reg_ratio
 from fracrd.mild_solver import phi_weights
 from fracrd.spectral_core import (
     Field,
@@ -233,12 +234,29 @@ def _maxreg_per_step(f, times, alpha, mu, g):
     return math.sqrt(float(np.dot(w, gsq))) / math.sqrt(float(np.dot(w, fsq)))
 
 
+def _decaying_forcing(rng, times, g):
+    f = np.exp(-times).reshape((-1,) + (1,) * g.dims) * rng.standard_normal(g.shape)
+    return f + 0.1 * rng.standard_normal(f.shape)
+
+
 @pytest.mark.parametrize("dims,n", [(1, 64), (2, 16), (3, 8)])
 def test_maximal_reg_ratio_equals_per_step_loop(dims, n):
     g = make_grid(dims, 2 * np.pi, n)
     rng = np.random.default_rng(dims)
-    times = np.linspace(0.0, 2.0, 41)
-    f = np.exp(-times).reshape((-1,) + (1,) * dims) * rng.standard_normal(g.shape)
-    f += 0.1 * rng.standard_normal(f.shape)
-    for mu in (0.5, 2.0):
-        assert maximal_reg_ratio(f, times, 0.5, mu, g) == _maxreg_per_step(f, times, 0.5, mu, g)
+    # one step past the first time block of a single forcing; three stacked
+    # forcings take blocks of a third of that, so they cross several
+    past_block = MAXREG_BLOCK_BYTES // (8 * g.node_count) + 2
+    for nt in (2, 41, past_block):
+        times = np.linspace(0.0, 0.05 * (nt - 1), nt)
+        f, h = _decaying_forcing(rng, times, g), _decaying_forcing(rng, times, g)
+        stack = np.stack([f, np.zeros_like(f), h], axis=1)
+        for mu in (0.5, 2.0):
+            single = [maximal_reg_ratio(x, times, 0.5, mu, g) for x in stack.swapaxes(0, 1)]
+            assert single[0] == _maxreg_per_step(f, times, 0.5, mu, g)
+            assert single[1] == 0.0 and single[2] > 0.0
+            batched = maximal_reg_ratio(stack, times, 0.5, mu, g)
+            assert batched.shape == (3,) and batched.tolist() == single
+            two_axes = maximal_reg_ratio(stack.reshape((nt, 3, 1) + g.shape), times, 0.5, mu, g)
+            assert two_axes.tolist() == [[r] for r in single]
+        with pytest.raises(InvalidParameter):
+            maximal_reg_ratio(np.moveaxis(stack, 1, -1), times, 0.5, 1.0, g)
