@@ -255,6 +255,19 @@ def _forced_history(fhat, dt, E, phi1, phi2, u0=0.0) -> np.ndarray:
     return u
 
 
+def _time_step(times) -> float:
+    """The step of a uniform increasing time grid of at least two points;
+    raises NonUniformTimeGrid otherwise."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or len(times) < 2:
+        raise NonUniformTimeGrid("need one axis of at least two time points")
+    dts = np.diff(times)
+    dt = in_range(float(dts[0]), "times", "(0, inf)", NonUniformTimeGrid)
+    if not np.allclose(dts, dt, rtol=1e-9, atol=0.0):
+        raise NonUniformTimeGrid("time grid must be uniform")
+    return dt
+
+
 def maximal_reg_ratio(f_traj, times, alpha: float, mu: float, grid) -> float | np.ndarray:
     """||(-Dl)^a u||_{L2(Q)} / ||f||_{L2(Q)} for u solving the forced
     fractional heat equation with zero initial datum.
@@ -268,13 +281,7 @@ def maximal_reg_ratio(f_traj, times, alpha: float, mu: float, grid) -> float | n
     identically zero forcing.
     """
     KernelSpec(alpha, mu, grid)  # checks the (alpha, mu) ranges
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) < 2:
-        raise NonUniformTimeGrid("need one axis of at least two time points")
-    dts = np.diff(times)
-    dt = in_range(float(dts[0]), "times", "(0, inf)", NonUniformTimeGrid)
-    if not np.allclose(dts, dt, rtol=1e-9, atol=0.0):
-        raise NonUniformTimeGrid("time grid must be uniform")
+    dt = _time_step(times)
 
     f = np.asarray(f_traj, dtype=float)
     nt, dims = len(times), grid.dims
@@ -315,10 +322,11 @@ def maximal_reg_ratio(f_traj, times, alpha: float, mu: float, grid) -> float | n
 def solve_forced_mode(times, lam: float, mu: float, fhat) -> np.ndarray:
     """Scalar-mode discrete solve used by maximal_reg_ratio, exposed for the
     closed-form oracle comparison."""
-    times = np.asarray(times, dtype=float)
-    dt = float(times[1] - times[0])
-    fhat = np.asarray(fhat, dtype=float)[:, None]
-    return _forced_history(fhat, dt, *phi_weights(np.array([mu * dt * lam])))[:, 0]
+    dt = _time_step(times)
+    fhat = np.asarray(fhat, dtype=float)
+    if fhat.shape != (len(times),):
+        raise InvalidParameter(f"must hold one value per time point, got shape {fhat.shape}", "fhat")
+    return _forced_history(fhat[:, None], dt, *phi_weights(np.array([mu * dt * lam])))[:, 0]
 
 
 # ----------------------------------------------------------------------

@@ -111,8 +111,8 @@ class _Stepper:
         self.grid = grid
         self.model = model
         self.lam = grid.wavenumbers_squared() ** alpha  # |xi|^(2 alpha)
-        # complex multipliers, so no product with a spectrum casts them again
-        self.mask = grid.dealias_mask().astype(complex) if dealias else None
+        # complex multipliers, so no product with a spectrum casts them again; all ones without dealias
+        self.mask = (grid.dealias_mask() | (not dealias)).astype(complex)
         self._cache = {}
 
     def weights(self, dt: float):
@@ -129,8 +129,7 @@ class _Stepper:
 
     def _rates_hat(self, u: np.ndarray, t: float) -> np.ndarray:
         fhat = rfft(reaction_terms(self.model, u, t), self.grid)
-        if self.mask is not None:
-            fhat *= self.mask
+        fhat *= self.mask
         return species_rates(self.model, fhat)
 
     def step(self, start, t: float, dt: float, fhat_prev=None):

@@ -72,6 +72,9 @@ class ReactionModel:
     stoichiometry: np.ndarray | None = None
 
     def __post_init__(self):
+        as_int(self.m, "m", lo=1)
+        if not callable(self.f):
+            raise InvalidParameter(f"must be callable, got {self.f!r}", "f")
         if not np.iterable(self.d) or len(self.d) != self.m:
             raise InvalidParameter(f"must have {self.m} entries, got {self.d!r}", "diffusivities")
         d = tuple(in_range(di, "diffusivities", "(0, inf)") for di in self.d)
@@ -206,25 +209,23 @@ def check_assumption(model, which: Assumption, count: int = 200) -> AssumptionRe
 
 
 def conservative_lift(model: ReactionModel, count: int = 200) -> ReactionModel:
-    """Append a slack species turning mass dissipation into conservation."""
+    """Append a slack species taking up the mass the others lose, turning (M)
+    into conservation: the base's f on the first m species, and its stoichiometry
+    (the identity for a rate-form base) with -(column sums) as one more row."""
     rep = check_assumption(model, Assumption.M, count=count)
     if not rep.passed:
         raise DissipationViolated(
             f"model fails (M) at {len(rep.violations)} sampled states"
         )
-    m = model.m
-
-    def lifted(u, t):
-        f = species_rates(model, reaction_terms(model, u[:m], t))
-        g_extra = -np.sum(f, axis=0, keepdims=True)
-        return np.concatenate([f, g_extra], axis=0)
-
+    m, f = model.m, model.f
+    s = np.eye(m) if model.stoichiometry is None else model.stoichiometry
     return ReactionModel(
         name=model.name + "+conserved",
         m=m + 1,
         d=tuple(model.d) + (1.0,),
-        f=lifted,
+        f=lambda u, t: f(u[:m], t),
         growth_c=model.growth_c,
+        stoichiometry=np.vstack([s, -s.sum(axis=0)]),
     )
 
 

@@ -1,6 +1,8 @@
 import copy
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -618,3 +620,12 @@ def test_random_band_limited_is_its_cosine_sum(dims, points, modes):
         want = _cos_sum_band_limited(g, ref, modes)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         assert ours.bit_generator.state == ref.bit_generator.state  # the same draws
+
+
+def test_readme_scenario_is_the_run_1d_workload():
+    root = Path(__file__).resolve().parents[1]
+    block = re.search(r"```json\n(.*?)```", (root / "README.md").read_text(), re.S).group(1)
+    cfg = json.loads(block)
+    validate_config(copy.deepcopy(cfg))
+    workloads = json.loads((root / "bench" / "workloads.json").read_text())["workloads"]
+    assert cfg == dict(workloads["run-1d"]["config"], seed=0)

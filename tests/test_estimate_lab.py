@@ -317,6 +317,17 @@ def test_solve_forced_mode_equals_per_step_loop():
             assert _same_bits(solve_forced_mode(times, lam, 1.5, fhat), expected)
 
 
+@pytest.mark.parametrize("times, fhat, error", [
+    (np.zeros(5), np.ones(5), NonUniformTimeGrid),
+    (np.linspace(1.0, 0.0, 5), np.ones(5), NonUniformTimeGrid),
+    (np.array([0.0, 0.1, 0.3, 0.6, 1.0]), np.ones(5), NonUniformTimeGrid),
+    (np.linspace(0.0, 1.0, 5), np.ones(3), InvalidParameter),
+], ids=["constant", "decreasing", "non-uniform", "short-forcing"])
+def test_solve_forced_mode_rejects_bad_time_grid_and_forcing(times, fhat, error):
+    with pytest.raises(error):
+        solve_forced_mode(times, 3.0, 1.0, fhat)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_maxreg_rejects_nonfinite_forcing(bad):
     g = make_grid(1, 2 * np.pi, 64)

@@ -19,6 +19,7 @@ from fracrd.rds_model import (
     eval_reactions,
     get_model,
     polynomial_model,
+    reaction_terms,
     superquadratic_isc,
 )
 
@@ -152,6 +153,48 @@ def test_conservative_lift_rejects_growth():
     leaky = ReactionModel("leaky", 1, (1.0,), lambda u, t: np.stack([u[0]]))
     with pytest.raises(DissipationViolated):
         conservative_lift(leaky)
+
+
+@pytest.mark.parametrize("m, f, name", [
+    (2.0, lambda u, t: u, "m"),
+    (True, lambda u, t: u, "m"),
+    (0, lambda u, t: u, "m"),
+    (-1, lambda u, t: u, "m"),
+    (2, 3, "f"),
+], ids=["m=2.0", "m=True", "m=0", "m=-1", "f=3"])
+def test_model_rejects_bad_species_count_and_rate_map(m, f, name):
+    with pytest.raises(InvalidParameter) as info:
+        ReactionModel("x", m, (1.0, 1.0), f)
+    assert info.value.name == name
+
+
+def _dissipative_polynomial():
+    # f = (-u1 u2, u3 - 2 u1 u2, -u3): mass falls by 3 u1 u2
+    return polynomial_model("poly", 3, (1.0, 1.0, 1.0),
+                            [[(-1.0, [1, 1, 0])], [(1.0, [0, 0, 1]), (-2.0, [1, 1, 0])],
+                             [(-1.0, [0, 0, 1])]])
+
+
+LIFT_BASES = {"bimolecular": bimolecular, "dissipative-pair": dissipative_pair,
+              "superquadratic-isc": superquadratic_isc, "polynomial": _dissipative_polynomial}
+
+
+@pytest.mark.parametrize("base", list(LIFT_BASES.values()), ids=list(LIFT_BASES))
+def test_lift_appends_minus_the_rate_sum(base):
+    model = base()
+    lifted = conservative_lift(model)
+    u = 10.0 ** np.random.default_rng(1).uniform(-3.0, 3.0, (model.m + 1, 50))
+    r = eval_reactions(model, u[:-1])
+    assert np.all(eval_reactions(lifted, u) == np.vstack([r, -r.sum(axis=0)]))
+    s = lifted.stoichiometry
+    reactions = model.m if model.stoichiometry is None else model.stoichiometry.shape[1]
+    assert s.shape == (model.m + 1, reactions)
+    assert np.all(s.sum(axis=0) == 0.0)
+
+
+def test_lifted_bimolecular_keeps_its_one_flux():
+    u = np.random.default_rng(2).random((5, 16))
+    assert reaction_terms(conservative_lift(bimolecular()), u, 0.0).shape == (1, 16)
 
 
 def test_registry():
