@@ -306,7 +306,7 @@ def _resolve_outdir(explicit, default_name):
         os.remove(probe)
     except OSError as e:
         raise OutputUnwritable(f"cannot write to {path}: {e}")
-    return path
+    return os.fspath(path)
 
 
 # ----------------------------------------------------------------------

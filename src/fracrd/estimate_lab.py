@@ -231,6 +231,7 @@ def gn_ratio(v: Field, alpha: float, q: float) -> float:
 # ----------------------------------------------------------------------
 
 MAXREG_BLOCK_BYTES = 128 * 1024  # forcing bytes per time block: the block's spectra stay in cache
+MAXREG_EXP_RANGE = 256  # a forcing whose sup lies outside 2**+-this is scaled by a power of two
 
 
 def _forced_history(fhat, dt, E, phi1, phi2, u0=0.0) -> np.ndarray:
@@ -277,8 +278,9 @@ def maximal_reg_ratio(f_traj, times, alpha: float, mu: float, grid) -> float | n
     its own forcing.  Each Fourier mode is a scalar linear ODE advanced with
     the exponential trapezoidal rule (exact for forcings linear in t between
     grid points), in time blocks of about MAXREG_BLOCK_BYTES of forcing, so no
-    array spans the whole spectral history.  Returns 0 by convention for
-    identically zero forcing.
+    array spans the whole spectral history.  A forcing whose sup lies outside
+    2**+-MAXREG_EXP_RANGE is first scaled by a power of two, which leaves its
+    ratio unchanged.  Returns 0 by convention for identically zero forcing.
     """
     KernelSpec(alpha, mu, grid)  # checks the (alpha, mu) ranges
     dt = _time_step(times)
@@ -287,11 +289,21 @@ def maximal_reg_ratio(f_traj, times, alpha: float, mu: float, grid) -> float | n
     nt, dims = len(times), grid.dims
     if f.ndim < 1 + dims or f.shape[0] != nt or f.shape[f.ndim - dims:] != grid.shape:
         raise InvalidParameter("f_traj must have shape (nt, *batch, *grid.shape)")
-    if not np.isfinite(f).all():
-        raise NonFiniteInput("f_traj contains NaN/Inf values")
     batch = f.shape[1:f.ndim - dims]
     f = f.reshape((nt, -1) + grid.shape)
     space = tuple(range(2, f.ndim))
+    # per-entry extremes: a forcing is finite iff both are, and zero iff its sup is
+    rows = f.reshape(nt, -1)
+    hi = rows.max(axis=0).reshape(f.shape[1], -1).max(axis=1)
+    lo = rows.min(axis=0).reshape(f.shape[1], -1).min(axis=1)
+    if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
+        raise NonFiniteInput("f_traj contains NaN/Inf values")
+    sup = np.maximum(hi, -lo)
+    # a power-of-two scale, exact and so ratio-preserving, brings the sup of a
+    # forcing whose squares would under- or overflow to [1/2, 1)
+    exp = np.frexp(sup)[1]
+    scaled = np.flatnonzero((sup > 0) & (np.abs(exp) > MAXREG_EXP_RANGE))
+    scale = np.ldexp(1.0, -exp[scaled]).reshape((-1,) + (1,) * dims)
 
     lam = grid.wavenumbers_squared() ** alpha
     weights = phi_weights(mu * dt * lam)
@@ -302,6 +314,9 @@ def maximal_reg_ratio(f_traj, times, alpha: float, mu: float, grid) -> float | n
     u = 0.0
     for k0 in range(0, nt - 1, steps):
         fk = f[k0:k0 + steps + 1]
+        if scaled.size:
+            fk = fk.copy()
+            fk[:, scaled] *= scale
         uhat = _forced_history(rfft(fk, grid), dt, *weights, u)
         u = uhat[-1].copy()
         uhat[1:] *= lam
@@ -314,7 +329,7 @@ def maximal_reg_ratio(f_traj, times, alpha: float, mu: float, grid) -> float | n
     # one contiguous row per entry, so np.dot sums as it does for one forcing
     ratios = np.zeros(f.shape[1])
     for j, (gj, fj) in enumerate(zip(gsq.T.copy(), fsq.T.copy())):
-        if np.any(f[:, j]):
+        if sup[j] > 0:
             ratios[j] = math.sqrt(float(np.dot(w, gj))) / math.sqrt(float(np.dot(w, fj)))
     return ratios.reshape(batch) if batch else float(ratios[0])
 

@@ -7,17 +7,19 @@ term is approximated by its exponential trapezoidal weights, which is exact
 for forcings linear in time.  The forward transform of the reaction term
 covers the rows f returns, the R fluxes of a model with a stoichiometry
 (one for the bimolecular model, not four species rates); the stoichiometry
-is applied to their spectra.  The fixed point of the resulting map is found
-by Picard iteration in the relative sup norm, to a change of PICARD_TOL =
-1e-8: a fraction of the time-discretisation error, which is 2e-8 or more on
-every bench scenario.
+is folded into the weights that multiply their spectra.  The fixed point of
+the resulting map is found by Picard iteration in the relative sup norm, to
+a change of PICARD_TOL = 1e-8: a fraction of the time-discretisation error,
+which is 2e-8 or more on every bench scenario.
 
-A window starts from the state, spectrum, rate and sup that the window
-before built in its last Picard iteration; the rate is evaluated at t = 0
-and otherwise only inside the iteration.  The iteration starts from the ETD2
-extrapolation (Cox & Matthews 2002), the end-of-window rate extrapolated
-linearly from this and the previous window's start rates, when the previous
-window had the same dt; otherwise from exponential Euler.  A window whose
+A window starts from the state, spectrum, flux spectra and sup that the
+window before built in its last Picard iteration; the fluxes are evaluated
+at t = 0 and otherwise only inside the iteration.  The iteration starts from
+a predicted window-end flux: the start fluxes of the accepted windows at the
+current dt extrapolated by a backward-difference (Adams) polynomial of order
+q <= MAX_ORDER, q being the order whose prediction of the last start flux
+missed by least, as Adams codes choose theirs (Shampine & Gordon 1975).  A
+new dt restarts the predictor at order 1, exponential Euler.  A window whose
 residual stops falling (from the third iteration on), turns non-finite or
 has not converged after PICARD_MAX iterations is rejected and retried from
 the same start with a halved step.  After REGROW_AFTER straight windows of
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameter, NegativeInitialData, PicardDivergence, as_int, in_range
-from .rds_model import ReactionModel, reaction_terms, species_rates
+from .rds_model import ReactionModel, column_sum, reaction_terms
 from .spectral_core import Field, Grid, irfft, make_grid, rfft
 
 
@@ -41,6 +43,7 @@ PICARD_MAX = 50  # iterations before a window is rejected
 MAX_HALVINGS = 45  # halvings below cfg.dt; a rejection at this depth ends solve_mild
 REGROW_AFTER = 8  # straight accepted windows of at most REGROW_ITERS iterations
 REGROW_ITERS = 4  # ... after which dt doubles (up to cfg.dt)
+MAX_ORDER = 4  # highest order of the window-end flux predictor
 
 
 @dataclass(frozen=True)
@@ -74,11 +77,13 @@ class Trajectory:
     step_diagnostics: np.recarray | None = None
 
 
-def species_stats(grid: Grid, u: np.ndarray):
+def species_stats(grid: Grid, u: np.ndarray, extremes=None):
     """(min_value, sup_value, total_mass) of a stacked (m, ...) state: per species
-    its minimum, the sup of |u_i| and its mass, one reduction each over the grid."""
+    its minimum, the sup of |u_i| and its mass, from its maximum and minimum
+    (extremes, when the caller has them) and one sum over the grid."""
     flat = u.reshape(len(u), -1)
-    return flat.min(axis=1), np.abs(flat).max(axis=1), grid.cell_volume * flat.sum(axis=1)
+    hi, lo = extremes or (flat.max(axis=1), flat.min(axis=1))
+    return lo, np.maximum(hi, -lo), grid.cell_volume * flat.sum(axis=1)
 
 
 def step_record(iterations, residuals, stats) -> np.recarray:
@@ -105,7 +110,7 @@ def phi_weights(z: np.ndarray):
 
 
 class _Stepper:
-    """Precomputed multipliers for one (grid, model, alpha, dt) combination."""
+    """Precomputed multipliers for one (grid, model, alpha) combination, per dt."""
 
     def __init__(self, grid: Grid, model: ReactionModel, alpha: float, dealias: bool):
         self.grid = grid
@@ -116,49 +121,66 @@ class _Stepper:
         self._cache = {}
 
     def weights(self, dt: float):
+        """(E, dt (phi1 - phi2) S, dt phi2 S): the semigroup and the two flux
+        weights, each flux weight (m, R, ...) with the stoichiometry S folded in,
+        or (m, ...) for a rate-form model."""
         try:
             return self._cache[dt]
         except KeyError:
             pass
         d = np.reshape(self.model.d, (-1,) + (1,) * self.grid.dims)
         E, phi1, phi2 = phi_weights(d * dt * self.lam)  # each (m, ...)
-        w = tuple(x.astype(complex) for x in (E, dt * phi1, dt * (phi1 - phi2), dt * phi2))
+        flux = [dt * (phi1 - phi2), dt * phi2]
+        s = self.model.stoichiometry
+        if s is not None:
+            s = s.reshape(s.shape + (1,) * self.grid.dims)
+            flux = [x[:, None] * s for x in flux]
+        w = tuple(x.astype(complex) for x in [E] + flux)
         if len(self._cache) < 64:
             self._cache[dt] = w
         return w
 
-    def _rates_hat(self, u: np.ndarray, t: float) -> np.ndarray:
-        fhat = rfft(reaction_terms(self.model, u, t), self.grid)
-        fhat *= self.mask
-        return species_rates(self.model, fhat)
+    def _flux_hat(self, u: np.ndarray, t: float) -> np.ndarray:
+        """The masked spectra of f(u, t): R flux rows, or m rates for a rate-form model."""
+        ghat = rfft(reaction_terms(self.model, u, t), self.grid)
+        ghat *= self.mask
+        return ghat
 
-    def step(self, start, t: float, dt: float, fhat_prev=None):
-        """One Duhamel window from start = (u, uhat, fhat_n, sup |u|); returns
-        (iterations, residual, next start), the last Picard iteration's w, the
-        spectrum it passed to irfft, its rate (taken within PICARD_TOL of w) and
-        sup |w|.  fhat_prev, the previous window's fhat_n, selects the ETD2
-        predictor; it must come from a window of the same dt."""
-        uhat, fhat_n, scale = start[1], start[2], max(start[3], 1e-300)
-        E, dphi1, dphi12, dphi2 = self.weights(dt)
-        base = E * uhat + dphi12 * fhat_n
+    def _species(self, weight: np.ndarray, ghat: np.ndarray) -> np.ndarray:
+        """The species spectra of flux spectra ghat under a flux weight of weights()."""
+        return weight * ghat if self.model.stoichiometry is None else column_sum(weight, ghat)
 
-        if fhat_prev is None:  # exponential Euler
-            w = irfft(E * uhat + dphi1 * fhat_n, self.grid)
-        else:  # ETD2: the end-of-window rate extrapolated from the last two starts
-            w = irfft(base + dphi2 * (2.0 * fhat_n - fhat_prev), self.grid)
+    def step(self, start, t: float, dt: float, ghat_end):
+        """One Duhamel window from start = (u, uhat, ghat_n, sup |u|), iterated from
+        ghat_end, the predicted flux spectra at its end.  Returns (iterations,
+        residual, next start, extremes): the next start is the last Picard
+        iteration's w, the spectrum it passed to irfft, its flux spectra (taken
+        within PICARD_TOL of w) and sup |w|; extremes is w's per-species
+        (max, min)."""
+        uhat, ghat_n, scale = start[1], start[2], max(start[3], 1e-300)
+        E, w12, w2 = self.weights(dt)
+        base = E * uhat
+        base += self._species(w12, ghat_n)
+        what = self._species(w2, ghat_end)
+        what += base
+        w = irfft(what, self.grid)
         prev_res = np.inf
         for it in range(1, PICARD_MAX + 1):
-            fhat_w = self._rates_hat(w, t + dt)
-            what = base + dphi2 * fhat_w
+            ghat_w = self._flux_hat(w, t + dt)
+            what = self._species(w2, ghat_w)
+            what += base
             w_new = irfft(what, self.grid)
-            sup = max(float(w_new.max()), -float(w_new.min()))  # NaN or inf iff some entry is
+            flat = w_new.reshape(len(w_new), -1)
+            hi, lo = flat.max(axis=1), flat.min(axis=1)
+            sup = max(float(hi.max()), -float(lo.min()))  # NaN or inf iff some entry is
             if not np.isfinite(sup):
                 raise PicardDivergence(f"non-finite iterate at t={t:.6g}, dt={dt:.3g}",
                                        it, float("nan"), "non-finite")
-            res = float(np.max(np.abs(w_new - w))) / max(scale, sup)
+            w -= w_new  # the dead iterate's buffer takes the change
+            res = max(float(w.max()), -float(w.min())) / max(scale, sup)
             w = w_new
             if res < PICARD_TOL:
-                return it, res, (w, what, fhat_w, sup)
+                return it, res, (w, what, ghat_w, sup), (hi, lo)
             if it >= 3 and res >= prev_res:
                 raise PicardDivergence(
                     f"residual stopped falling at iteration {it} ({prev_res:.3g} -> {res:.3g}) "
@@ -168,6 +190,30 @@ class _Stepper:
             f"no contraction to {PICARD_TOL:.1e} within {PICARD_MAX} iterations at "
             f"t={t:.6g} (last residual {prev_res:.3g}); dt likely too large",
             PICARD_MAX, prev_res, "max-iterations")
+
+
+def _predict_flux(diffs, errors):
+    """The window-end flux sum_{j<q} diffs[j] from the backward differences diffs
+    of the start fluxes, at the order q whose last prediction error is the
+    smallest of errors (those of orders 1, 2, ...); order 1 without errors."""
+    q = errors.index(min(errors)) + 1 if errors else 1
+    if q == 1:
+        return diffs[0]
+    ghat = diffs[0] + diffs[1]
+    for d in diffs[2:q]:
+        ghat += d
+    return ghat
+
+
+def _backward_differences(ghat, diffs):
+    """(diffs, errors) once a window has started from flux spectra ghat: its
+    backward differences up to order MAX_ORDER - 1 from diffs, those of the
+    window before, and the squared 2-norms of the differences of orders 1 to
+    len(diffs), the errors that predictions of those orders made for ghat."""
+    new = [ghat]
+    for d in diffs:
+        new.append(new[-1] - d)
+    return new[:MAX_ORDER], [np.vdot(x, x).real for x in new[1:]]
 
 
 def solve_mild(model: ReactionModel, u0, cfg: SolverConfig) -> Trajectory:
@@ -184,34 +230,41 @@ def solve_mild(model: ReactionModel, u0, cfg: SolverConfig) -> Trajectory:
 
     traj = Trajectory(grid=grid, times=[0.0], states=[u.copy()])
     rows = [(0.0, 0, 0.0, species_stats(grid, u))]  # (t, iterations, residual, stats) per window
-    threshold = cfg.blowup_factor * max(sum(rows[0][3][1].tolist()), 1e-300)  # sum_i sup |u_i|
+    sups = rows[0][3][1]
+    threshold = cfg.blowup_factor * max(sum(sups.tolist()), 1e-300)  # sum_i sup |u_i|
     stepper = _Stepper(grid, model, cfg.alpha, cfg.dealias)
 
-    start = (u, rfft(u, grid), stepper._rates_hat(u, 0.0), float(np.max(np.abs(u))))
+    start = (u, rfft(u, grid), stepper._flux_hat(u, 0.0), float(sups.max()))
     t = 0.0
     depth = 0  # halvings of cfg.dt in force
     calm = 0  # straight accepted windows of at most REGROW_ITERS iterations
-    dt_prev = fhat_prev = None  # the last accepted window's dt and start rate
+    dt_prev = None  # the dt of the accepted windows behind diffs
     eps = 1e-12 * cfg.horizon
     while t < cfg.horizon - eps:
-        dt_step = min(cfg.dt / 2.0**depth, cfg.horizon - t)
+        dt_step = cfg.dt / 2.0**depth
+        rest = cfg.horizon - t
+        if rest < dt_step - eps:  # a short last window
+            dt_step = rest
+        if dt_step != dt_prev:  # the predictor restarts at order 1
+            diffs, errors = [start[2]], []
         try:
-            iters, res, next_start = stepper.step(
-                start, t, dt_step, fhat_prev if dt_step == dt_prev else None)
+            iters, res, next_start, extremes = stepper.step(
+                start, t, dt_step, _predict_flux(diffs, errors))
         except PicardDivergence:
             if depth >= MAX_HALVINGS:
                 raise
             depth += 1
             calm = 0
             continue
-        dt_prev, fhat_prev, start = dt_step, start[2], next_start
+        dt_prev, start = dt_step, next_start
+        diffs, errors = _backward_differences(start[2], diffs)
         calm = calm + 1 if iters <= REGROW_ITERS else 0
         if calm >= REGROW_AFTER and depth > 0:
             depth -= 1
             calm = 0
-        t += dt_step
+        t = cfg.horizon if rest - dt_step <= eps else t + dt_step  # the last window lands on it
         u = start[0]  # a fresh irfft output that no later window writes to
-        rows.append((t, iters, res, species_stats(grid, u)))
+        rows.append((t, iters, res, species_stats(grid, u, extremes)))
         blown_up = sum(rows[-1][3][1].tolist()) > threshold
         if (len(rows) - 1) % cfg.store_every == 0 or t >= cfg.horizon - eps or blown_up:
             traj.times.append(t)

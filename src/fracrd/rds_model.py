@@ -124,19 +124,23 @@ def reaction_terms(model: ReactionModel, u: np.ndarray, t: float) -> np.ndarray:
     return terms
 
 
+def column_sum(s: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """sum_r s[:, r] * terms[r] for an (m, R, ...) s and (R, ...) terms, the
+    columns added in order."""
+    out = s[:, 0] * terms[0]
+    for r in range(1, len(terms)):
+        out += s[:, r] * terms[r]
+    return out
+
+
 def species_rates(model: ReactionModel, terms: np.ndarray) -> np.ndarray:
-    """The (m, ...) species rates from reaction_terms' output, or from its
-    spectrum: stoichiometry @ terms over the leading axis, the columns added
-    in order; the terms themselves when the model has no stoichiometry."""
+    """The (m, ...) species rates from reaction_terms' output: stoichiometry @
+    terms over the leading axis; the terms themselves when the model has no
+    stoichiometry."""
     s = model.stoichiometry
     if s is None:
         return terms
-    pairs = terms.view(float) if np.iscomplexobj(terms) else terms  # complex entries as real pairs
-    s = s.reshape(s.shape + (1,) * (pairs.ndim - 1))
-    rates = s[:, 0] * pairs[0]
-    for r in range(1, s.shape[1]):
-        rates += s[:, r] * pairs[r]
-    return rates.view(terms.dtype)
+    return column_sum(s.reshape(s.shape + (1,) * (terms.ndim - 1)), terms)
 
 
 def eval_reactions(model: ReactionModel, state, t: float = 0.0):

@@ -450,6 +450,18 @@ def test_manifest_lists_every_written_file(tmp_path, verb):
     assert set(man["files"]) == {p.name for p in tmp_path.iterdir()} - {"manifest.json"}
 
 
+@pytest.mark.parametrize("verb", ["run", "verify"])
+def test_outdir_may_be_a_path(tmp_path, verb):
+    out = tmp_path / verb
+    if verb == "run":
+        man = run_scenario(_tiny(), outdir=out)
+        assert isinstance(man["output_dir"], str) and man["output_dir"] == str(out)
+    else:
+        man = run_verify(["ladder"], outdir=out)
+    with open(out / "manifest.json") as fh:
+        assert json.load(fh) == man
+
+
 def test_run_scenario_manifest(tmp_path):
     man = run_scenario(_demo(), outdir=str(tmp_path / "run"))
     assert man["passed"] and not man["violations"]

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -336,6 +337,24 @@ def test_maxreg_rejects_nonfinite_forcing(bad):
     f[4, 7] = bad
     with pytest.raises(NonFiniteInput):
         maximal_reg_ratio(f, times, 0.5, 1.0, g)
+
+
+def test_maxreg_scales_forcings_that_would_under_or_overflow():
+    # ||f||^2 underflows to 0 for 1e-170 and overflows for 1e200; each batch
+    # entry is scaled on its own, the in-range one not at all
+    g = make_grid(1, 2 * np.pi, 64)
+    times = np.linspace(0.0, 1.0, 11)
+    x = g.coord_arrays()[0]
+    units = np.stack([np.ones_like(x), np.cos(x), np.sin(2 * x)])
+    f = np.exp(-times)[:, None, None] * units
+    expected = maximal_reg_ratio(f, times, 0.5, 1.0, g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ratios = maximal_reg_ratio(np.array([1e-170, 1e200, 1.0])[:, None] * f, times, 0.5, 1.0, g)
+        alone = [maximal_reg_ratio(a * f[:, j], times, 0.5, 1.0, g) for j, a in ((0, 1e-170), (1, 1e200))]
+    assert ratios == pytest.approx(expected, rel=1e-14, abs=0.0)
+    assert alone == pytest.approx(expected[:2].tolist(), rel=1e-14, abs=0.0)
+    assert ratios[2] == expected[2] and expected[1] > 0.0
 
 
 def test_maxreg_uniform_grid_guard():

@@ -24,7 +24,13 @@ from fracrd.mild_solver import (
     save_checkpoint,
     solve_mild,
 )
-from fracrd.rds_model import ReactionModel, bimolecular, dissipative_pair, eval_reactions
+from fracrd.rds_model import (
+    ReactionModel,
+    bimolecular,
+    dissipative_pair,
+    eval_reactions,
+    reaction_terms,
+)
 from fracrd.spectral_core import Field, make_grid, rfft
 
 
@@ -184,8 +190,9 @@ def _rejected_window(rates, dt=0.1):
     g = make_grid(1, 10.0, 8)
     stepper = _Stepper(g, ReactionModel("one", 1, (1.0,), rates), 0.5, False)
     u = np.full((1,) + g.shape, 1.0)
+    ghat = stepper._flux_hat(u, 0.0)
     with pytest.raises(PicardDivergence) as info:
-        stepper.step((u, rfft(u, g), stepper._rates_hat(u, 0.0), 1.0), 0.0, dt)
+        stepper.step((u, rfft(u, g), ghat, 1.0), 0.0, dt, ghat)
     return info.value
 
 
@@ -331,6 +338,76 @@ def test_etd2_predictor_saves_picard_iterations():
     assert len(iters) == 100 and np.mean(iters) < 3.5
 
 
+def _readme_2d_run(monkeypatch):
+    """The README scenario on a 32x32 grid to horizon 4 at dt 0.02: its
+    trajectory, its steppers and the number of rate evaluations it made."""
+    g = make_grid(2, 40.0, 32)
+    u0 = [make_profile(g, spec, None) for spec in README_DATA]
+    steppers, evals = [], []
+
+    class Recording(_Stepper):
+        def __init__(self, *args):
+            super().__init__(*args)
+            steppers.append(self)
+
+    def counted(model, u, t):
+        evals.append(t)
+        return reaction_terms(model, u, t)
+
+    monkeypatch.setattr(mild_solver, "_Stepper", Recording)
+    monkeypatch.setattr(mild_solver, "reaction_terms", counted)
+    traj = solve_mild(bimolecular().with_diffusivities(README_D), u0,
+                      SolverConfig(dt=0.02, horizon=4.0, alpha=0.5, store_every=10))
+    return traj, steppers, len(evals)
+
+
+def test_last_window_lands_on_the_horizon(monkeypatch):
+    # 200 steps of 0.02 add up to 4 - 3e-15; the last one still steps 0.02
+    traj, steppers, _ = _readme_2d_run(monkeypatch)
+    assert len(steppers) == 1 and list(steppers[0]._cache) == [0.02]
+    assert traj.step_times[-1] == 4.0 and traj.times[-1] == 4.0
+    assert len(traj.step_times) == 201
+
+
+def test_predicted_flux_starts_each_window_within_tolerance(monkeypatch):
+    # from the ETD2 start this run took 2.175 iterations per window
+    traj, _, evals = _readme_2d_run(monkeypatch)
+    windows = len(traj.step_times) - 1
+    assert np.mean(traj.step_diagnostics.picard_iterations[1:]) <= 1.1
+    assert evals <= 1 + 1.1 * windows
+
+
+def test_predictor_restarts_at_order_one_after_each_dt_change(monkeypatch):
+    # the stiff scenario: its first window is rejected, and dt regrows later
+    g = make_grid(1, 40.0, 64)
+    model = bimolecular().with_diffusivities(README_D)
+    u0 = [make_profile(g, dict(spec, amplitude=50.0 * spec["amplitude"]), None)
+          for spec in README_DATA]
+    tries = []  # (dt, started from the start flux, accepted) per window try
+    step = _Stepper.step
+
+    def recorded(self, start, t, dt, ghat_end):
+        try:
+            out = step(self, start, t, dt, ghat_end)
+        except PicardDivergence:
+            tries.append((dt, ghat_end is start[2], False))
+            raise
+        tries.append((dt, ghat_end is start[2], True))
+        return out
+
+    monkeypatch.setattr(_Stepper, "step", recorded)
+    solve_mild(model, u0, SolverConfig(dt=0.02, horizon=1.0, alpha=0.5))
+    dt_prev, changes = None, []
+    for dt, order_one, accepted in tries:
+        if dt != dt_prev:
+            changes.append(dt)
+            assert order_one
+        if accepted:
+            dt_prev = dt
+    assert changes[:3] == [0.02, 0.01, 0.02]  # a rejection, then a regrowth
+    assert sum(not order_one for _, order_one, _ in tries) > len(tries) / 2
+
+
 def test_rate_evaluated_once_per_iteration_plus_initial_data():
     # no rate evaluation at a window's start: the last iterate's rate carries over
     g = make_grid(1, 40.0, 64)
@@ -404,15 +481,15 @@ def test_step_carries_spectrum_and_rate(dims, points, dealias):
     model = bimolecular().with_diffusivities(README_D)
     u = np.stack([f.values for f in _bump_fields(g, (1.0, 0.3, 0.8, 0.2))])
     stepper = _Stepper(g, model, 0.5, dealias)
-    start = (u, rfft(u, g), stepper._rates_hat(u, 0.0), float(np.max(np.abs(u))))
-    fhat_prev = None  # exponential Euler first, then ETD2
+    start = (u, rfft(u, g), stepper._flux_hat(u, 0.0), float(np.max(np.abs(u))))
+    ghat_end = start[2]  # exponential Euler first, then linear extrapolation
     for k in range(3):
-        _, res, carried = stepper.step(start, 0.05 * k, 0.05, fhat_prev)
-        fhat_prev, start = start[2], carried
+        _, res, carried, _ = stepper.step(start, 0.05 * k, 0.05, ghat_end)
+        ghat_end, start = 2.0 * carried[2] - start[2], carried
         w, what, fhat_w, sup = carried
         assert res < PICARD_TOL and sup == np.max(np.abs(w))
         assert np.max(np.abs(what - rfft(w, g))) <= 1e-13 * np.max(np.abs(what))
-        exact = stepper._rates_hat(w, 0.05 * (k + 1))
+        exact = stepper._flux_hat(w, 0.05 * (k + 1))
         assert np.max(np.abs(fhat_w - exact)) <= 10 * PICARD_TOL * np.max(np.abs(exact))
 
 
