@@ -304,7 +304,7 @@ def _resolve_outdir(explicit, default_name):
         with open(probe, "w"):
             pass
         os.remove(probe)
-    except OSError as e:
+    except (OSError, TypeError) as e:  # TypeError: a config output_dir that is not a path
         raise OutputUnwritable(f"cannot write to {path}: {e}")
     return os.fspath(path)
 
@@ -466,8 +466,10 @@ def sweep(cfg: dict, axis: str, values, outdir=None) -> list:
         sub = copy.deepcopy(cfg)
         node = sub
         path = _AXES[axis]
-        for key in path[:-1]:
+        for depth, key in enumerate(path[:-1], 1):
             node = node.setdefault(key, {})
+            if not isinstance(node, dict):
+                raise ConfigInvalid([f"{'.'.join(path[:depth])}: must be an object, got {node!r}"])
         # a non-integral point count passes through for make_grid to reject
         node[path[-1]] = int(v) if axis == "points" and float(v).is_integer() else float(v)
         try:

@@ -1,13 +1,14 @@
 """Periodic grids, FFT-based fractional Laplacian, and a real-space oracle.
 
 The operator (-Delta)^beta is realised as the Fourier multiplier |xi|^(2*beta)
-on a periodic box [-L/2, L/2)^N.  A direct singular-integral summation over
-the periodic lattice (with image summation and an analytic far-tail
-correction) serves as an independent cross-check of the spectral route.
+on a periodic box [-L/2, L/2)^N.  The singular integral, with its kernel
+written through the heat semigroup and evaluated in real space without an
+FFT, serves as an independent cross-check of the spectral route.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -184,125 +185,48 @@ def frac_power(u: Field, p: FracPower) -> Field:
 
 
 # ----------------------------------------------------------------------
-# Real-space principal-value oracle.
+# Real-space singular-integral oracle.
 #
-# Normalisation constant of the singular integral, closed form
-#   C_{N,beta} = 4^beta Gamma(N/2 + beta) / (pi^{N/2} |Gamma(-beta)|),
-# cross-validated against the spectral route on single Fourier modes.
+# The kernel is written through the heat semigroup (Balakrishnan 1960):
+#   C_{N,beta} |z|^(-N-2 beta) = (beta / Gamma(1-beta)) int_0^inf G_t(z) t^(-1-beta) dt,
+# with G_t the Gaussian of e^{t Delta}, so one separable kernel serves every N.
 # ----------------------------------------------------------------------
 
-# Periodic-image summation radius per dimension; the analytic tail
-# correction below mops up the remaining slowly-decaying far field.
-_IMAGE_RADIUS = {1: 128, 2: 6, 3: 2}
-
-# Cost guard: direct summation is O(n^(2N)).
+# Cost guard: the heat operator is a dense n x n matrix per axis.
 _MAX_QUAD_AXIS = 64
 
 
-def singular_constant(dims: int, beta: float) -> float:
-    return (
-        4.0**beta
-        * math.gamma(dims / 2.0 + beta)
-        / (math.pi ** (dims / 2.0) * abs(math.gamma(-beta)))
-    )
-
-
-def _sphere_area(dims: int) -> float:
-    # surface measure of the unit sphere S^{N-1}
-    return 2.0 * math.pi ** (dims / 2.0) / math.gamma(dims / 2.0)
-
-
-def _cell_weights_1d(grid: Grid, beta: float, images: int):
-    """Product-integration weights for the kernel |z|^(-1-2b) in 1D.
-
-    Returns (w0, w1, w2): per-offset cell integrals of K, K*(z - z_j) and
-    K*(z - z_j)^2 / 2, the latter two from the base cell only (image-cell
-    moments are negligible).  w0 is summed over periodic images.  The
-    singular central cell is excluded everywhere.
-    """
-    h = grid.spacing
-    L = grid.extent
-    zc = grid.axis_coords()
-    z = zc[:, None] + L * np.arange(-images, images + 1)
-    a = np.abs(z) - 0.5 * h
-    b = np.abs(z) + 0.5 * h
-    good = a > 0  # skips only the (offset 0, image 0) cell
-    w = np.zeros_like(z)
-    w[good] = (a[good] ** (-2.0 * beta) - b[good] ** (-2.0 * beta)) / (2.0 * beta)
-    w0 = w.sum(axis=1)
-
-    # base-cell moments M1 = int K z dz, M2 = int K z^2 dz (signed cells)
-    ab = np.abs(zc) - 0.5 * h
-    bb = np.abs(zc) + 0.5 * h
-    base = ab > 0
-    m0 = w[:, images]  # the image-0 column of w is the base-cell integral
-    m1 = np.zeros_like(zc)
-    m2 = np.zeros_like(zc)
-    if abs(beta - 0.5) < 1e-12:
-        m1[base] = np.log(bb[base] / ab[base])
-    else:
-        m1[base] = (bb[base] ** (1.0 - 2.0 * beta) - ab[base] ** (1.0 - 2.0 * beta)) / (
-            1.0 - 2.0 * beta
-        )
-    m2[base] = (bb[base] ** (2.0 - 2.0 * beta) - ab[base] ** (2.0 - 2.0 * beta)) / (
-        2.0 - 2.0 * beta
-    )
-    sign = np.sign(zc)
-    m1 *= sign  # odd moment flips with the cell side
-    w1 = m1 - zc * m0
-    w2 = 0.5 * (m2 - 2.0 * zc * m1 + zc * zc * m0)
-    return w0, w1, w2
-
-
-def image_r2(grid: Grid, images: int, shifts=None):
-    """Yield |x + L n + s|^2 on the lattice for each periodic image n in
-    {-images, ..., images}^N and, within it, each shift s (one flat array
-    per axis; by default the zero shift alone), always in the same order."""
+def image_r2(grid: Grid, images: int):
+    """Yield |x + L n|^2 on the lattice for each periodic image n in
+    {-images, ..., images}^N, always in the same order."""
     coords = grid.coord_arrays()
     img_axis = grid.extent * np.arange(-images, images + 1)
-    img = [m.ravel() for m in np.meshgrid(*([img_axis] * grid.dims), indexing="ij")]
-    if shifts is None:
-        shifts = [np.zeros(1)] * grid.dims
-    for k in range(img[0].size):
-        for q in range(shifts[0].size):
-            r2 = np.zeros(grid.shape)
-            for ax in range(grid.dims):
-                d = coords[ax] + img[ax][k] + shifts[ax][q]
-                r2 += d * d
-            yield r2
+    for shift in itertools.product(img_axis, repeat=grid.dims):
+        yield sum((x + s) ** 2 for x, s in zip(coords, shift))
 
 
-def _cell_weights_nd(grid: Grid, beta: float, images: int, sub: int = 5) -> np.ndarray:
-    """Subsampled cell-averaged kernel weights, periodised over images (N>1)."""
-    h = grid.spacing
-    expo = -(grid.dims + 2.0 * beta) / 2.0
-    # sub-cell midpoint nodes
-    s = (np.arange(sub) + 0.5) / sub - 0.5
-    subs = [m.ravel() for m in np.meshgrid(*([s * h] * grid.dims), indexing="ij")]
-    weights = np.zeros(grid.shape)
-    for d2 in image_r2(grid, images, subs):
-        contrib = np.where(d2 > 0, d2, 1.0) ** expo
-        contrib = np.where(d2 > 0, contrib, 0.0)
-        weights += contrib
-    weights *= grid.cell_volume / sub**grid.dims
-    # zero out the singular central cell entirely; handled by the inner
-    # curvature correction
-    weights.flat[0] -= weights.flat[0]
-    return weights
+def _heat_matrix(line: Grid, t: float) -> np.ndarray:
+    """e^{t Delta} on a 1D lattice: the circulant of the periodised Gaussian,
+    its row normalised to sum 1 so that constants are fixed."""
+    images = math.ceil(math.sqrt(150.0 * t) / line.extent) + 1
+    row = sum(np.exp(-r2 / (4.0 * t)) for r2 in image_r2(line, images))
+    n = line.points_per_axis
+    return row[np.subtract.outer(np.arange(n), np.arange(n)) % n] / row.sum()
 
 
 def frac_power_quadrature(u: Field, p: FracPower) -> Field:
-    """Principal-value singular-sum oracle for (-Delta)^beta, beta in (0,1).
+    """Real-space singular-integral oracle for (-Delta)^beta, beta in (0,1).
 
-    Evaluates C_{N,beta} * sum_y (u(x) - u(y)) K_per(x - y) over the periodic
-    lattice, where K_per is the kernel |z|^(-N-2 beta) periodised over image
-    boxes and integrated over each lattice cell (exactly in 1D, subsampled in
-    higher dimensions).  The singular y=x cell is excluded; +/- offsets occur
-    in symmetric pairs so odd terms cancel (principal value by symmetry).
-    Two analytic corrections are applied: the excluded-cell contribution via
-    a finite-difference Laplacian, and the far field beyond the summed images
-    against (u - mean u).
+    Evaluates (beta / Gamma(1-beta)) int_0^inf (u - e^{t Delta} u) t^(-1-beta) dt,
+    which is C_{N,beta} p.v. int (u(x) - u(y)) |x - y|^(-N-2 beta) dy on the
+    periodic box, with no FFT: e^{t Delta} is applied one axis at a time as a
+    periodised-Gaussian matrix.  [eps, T] takes 24 Gauss-Legendre nodes in
+    log t, with eps = h^2/4 and T = 50 (L / 2 pi)^2; [0, eps] is
+    -Lap_h u eps^(1-beta) / (1-beta), Lap_h the fourth-order five-point
+    Laplacian per axis, and [T, inf) is (u - mean u) T^(-beta) / beta.
     """
+    from numpy.polynomial.legendre import leggauss  # not at import: it slows every CLI start
+
     beta = p.beta
     in_range(beta, "beta", "(0, 1)", BetaOutOfRange)
     g = u.grid
@@ -312,54 +236,23 @@ def frac_power_quadrature(u: Field, p: FracPower) -> Field:
         )
 
     h = g.spacing
-    L = g.extent
-    R = _IMAGE_RADIUS[g.dims]
-    c_nb = singular_constant(g.dims, beta)
-
     vals = u.values
-    if g.dims == 1:
-        weights, w1, w2 = _cell_weights_1d(g, beta, R)
-        du = (np.roll(vals, -1) - np.roll(vals, 1)) / (2.0 * h)
-        d2u = (np.roll(vals, -1) - 2.0 * vals + np.roll(vals, 1)) / h**2
-    else:
-        weights = _cell_weights_nd(g, beta, R)
-        w1 = w2 = du = d2u = None
-    total_weight = float(weights.sum())
+    line = make_grid(1, g.extent, g.points_per_axis)
+    eps, T = h * h / 4.0, 50.0 * (g.extent / (2.0 * math.pi)) ** 2
+    nodes, weights = leggauss(24)
+    half = 0.5 * math.log(T / eps)
+    out = np.zeros(g.shape)
+    for s, w in zip(math.log(eps) + half * (nodes + 1.0), half * weights):
+        heat, e = vals, _heat_matrix(line, math.exp(s))
+        for ax in range(g.dims):
+            heat = np.moveaxis(np.tensordot(e, heat, axes=(1, ax)), 0, ax)
+        out += w * math.exp(-beta * s) * (vals - heat)
 
-    # sum_y w(x-y) u(y) accumulated by rolling over every nonzero offset
-    conv = np.zeros(g.shape)
-    for idx in np.ndindex(g.shape):
-        wgt = weights[idx]
-        if wgt == 0.0:
-            continue
-        rolled = np.roll(vals, shift=idx, axis=tuple(range(g.dims)))
-        conv += wgt * rolled
-        if g.dims == 1:
-            # product-integration moment corrections for in-cell variation;
-            # conv holds u(x - z), hence the sign flip on the odd moment
-            conv -= w1[idx] * np.roll(du, shift=idx)
-            conv += w2[idx] * np.roll(d2u, shift=idx)
-
-    out = c_nb * (total_weight * vals - conv)
-
-    # Excluded-cell correction: integral of (u(y)-u(x)) over the central cell
-    # is Lap(u)/(2N) * int |z|^2 |z|^(-N-2b) dz to second order.  The cell is
-    # replaced by the equal-volume ball of radius r_eff (exact in 1D).
-    lap = np.zeros(g.shape)
-    for ax in range(g.dims):
-        lap += (np.roll(vals, 1, axis=ax) + np.roll(vals, -1, axis=ax) - 2 * vals) / h**2
-    ball_vol = math.pi ** (g.dims / 2.0) / math.gamma(g.dims / 2.0 + 1.0)
-    r_eff = (g.cell_volume / ball_vol) ** (1.0 / g.dims)
-    inner = (
-        _sphere_area(g.dims)
-        / (2.0 * g.dims)
-        * r_eff ** (2.0 - 2.0 * beta)
-        / (2.0 - 2.0 * beta)
-    )
-    out -= c_nb * inner * lap
-
-    # Far-tail correction beyond the summed image boxes.
-    cutoff = (R + 0.5) * L
-    tail = _sphere_area(g.dims) * cutoff ** (-2.0 * beta) / (2.0 * beta)
-    out += c_nb * tail * (vals - vals.mean())
-    return Field(g, out)
+    lap = sum(
+        16.0 * (np.roll(vals, 1, ax) + np.roll(vals, -1, ax))
+        - np.roll(vals, 2, ax) - np.roll(vals, -2, ax) - 30.0 * vals
+        for ax in range(g.dims)
+    ) / (12.0 * h * h)
+    out -= lap * eps ** (1.0 - beta) / (1.0 - beta)
+    out += (vals - vals.mean()) * T**-beta / beta
+    return Field(g, beta / math.gamma(1.0 - beta) * out)

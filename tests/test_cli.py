@@ -1,7 +1,10 @@
 import copy
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -538,6 +541,16 @@ def test_sweep_guards(tmp_path, monkeypatch):
         sweep(_demo(), "points", [16.0, 16.5], outdir=str(tmp_path / "sw"))
     assert exc.value.messages == [
         "points=16.5: grid.points: must be a power of two >= 8, got 16.5"]
+    for section, value, axis, where in (
+        ("reports", {"ladder": None}, "rho", "reports.ladder: must be an object, got None"),
+        ("solver", [1], "dt", "solver: must be an object, got [1]"),
+        ("grid", "x", "points", "grid: must be an object, got 'x'"),
+    ):
+        cfg = _demo()
+        cfg[section] = value
+        with pytest.raises(ConfigInvalid) as exc:
+            sweep(cfg, axis, [16.0], outdir=str(tmp_path / "sw"))
+        assert exc.value.messages == [where]
     assert not (tmp_path / "sw").exists()
 
 
@@ -548,6 +561,15 @@ def test_unwritable_output_exits_1(tmp_path, capsys):
     assert main(["run", str(cfg_path), "--out", str(cfg_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write to {cfg_path / 'out'}") and err.count("\n") == 1
+
+
+def test_output_dir_that_is_not_a_path_exits_1(tmp_path, capsys):
+    cfg_path = tmp_path / "demo.json"
+    cfg_path.write_text(json.dumps({**_tiny(), "output_dir": 5}))
+    capsys.readouterr()
+    assert main(["run", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write to 5: ") and err.count("\n") == 1
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -641,3 +663,13 @@ def test_readme_scenario_is_the_run_1d_workload():
     validate_config(copy.deepcopy(cfg))
     workloads = json.loads((root / "bench" / "workloads.json").read_text())["workloads"]
     assert cfg == dict(workloads["run-1d"]["config"], seed=0)
+
+
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    """The benchmark's setup_s times this import; the quadrature oracle's
+    Gauss-Legendre nodes (numpy.polynomial) load on its first call only."""
+    src = os.path.dirname(os.path.dirname(cli_runner.__file__))
+    code = "import sys, fracrd.cli_runner; print('numpy.polynomial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -188,6 +188,34 @@ def test_quadrature_nd_matches_spectral(dims, points, beta):
     assert np.max(np.abs(flat)) <= 1e-12
 
 
+def _quadrature_error(dims, points, beta):
+    g = make_grid(dims, 2 * np.pi, points)
+    x = g.coord_arrays()
+    u = Field(g, np.cos(x[0]) + 0.5 * np.sin(2 * x[-1]) + 0.3 * np.cos(x[0] + x[-1]))
+    spec = frac_power(u, FracPower(beta)).values
+    quad = frac_power_quadrature(u, FracPower(beta)).values
+    return np.linalg.norm(quad - spec) / np.linalg.norm(spec)
+
+
+def test_quadrature_converges_in_2d():
+    assert _quadrature_error(2, 32, 0.5) * 4 <= _quadrature_error(2, 16, 0.5)
+
+
+@pytest.mark.parametrize("dims,points", [(1, 64), (2, 16), (3, 8)])
+def test_quadrature_makes_no_fft_call(monkeypatch, dims, points):
+    g = make_grid(dims, 2 * np.pi, points)
+    u = Field(g, np.cos(g.coord_arrays()[0]))
+    spec = frac_power(u, FracPower(0.5)).values
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("the quadrature oracle called an FFT")
+
+    for name in ("rfft", "irfft", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, no_fft)
+    quad = frac_power_quadrature(u, FracPower(0.5)).values
+    assert np.linalg.norm(quad - spec) / np.linalg.norm(spec) <= 0.02
+
+
 def test_quadrature_guards(g64):
     u = Field(g64, np.zeros(g64.shape))
     with pytest.raises(BetaOutOfRange):
