@@ -217,13 +217,12 @@ def check_gn(dims: int, alpha: float, q: float):
 def gn_ratio(v: Field, alpha: float, q: float) -> float:
     """||v||_q / (||v||_2^theta ||(-Dl)^(a/2) v||_2^(1-theta))."""
     check_gn(v.grid.dims, alpha, q)
-    if not np.any(v.values):
-        raise ZeroField("Gagliardo-Nirenberg ratio undefined for v == 0")
     theta = gn_theta(v.grid.dims, alpha, q)
-    num = lp_norm(v, q)
-    l2 = lp_norm(v, 2)
     half = lp_norm(frac_power(v, FracPower(alpha / 2.0)), 2)
-    return num / (l2**theta * half ** (1.0 - theta))
+    den = lp_norm(v, 2) ** theta * half ** (1.0 - theta)
+    if den == 0.0:  # v constant (zero included), or too small to square
+        raise ZeroField("Gagliardo-Nirenberg ratio undefined: (-Dl)^(a/2) v or v is 0")
+    return lp_norm(v, q) / den
 
 
 # ----------------------------------------------------------------------

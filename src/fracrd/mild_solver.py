@@ -1,16 +1,20 @@
 """Mild solutions by Picard fixed-point iteration on the Duhamel window.
 
 Each window of length dt advances the stacked species state with an
-exponential (phi1/phi2) trapezoidal rule: the diffusion semigroup is applied
-exactly as a Fourier multiplier, and the Duhamel integral of the reaction
-term is approximated by its exponential trapezoidal weights, which is exact
-for forcings linear in time.  The forward transform of the reaction term
-covers the rows f returns, the R fluxes of a model with a stoichiometry
-(one for the bimolecular model, not four species rates); the stoichiometry
-is folded into the weights that multiply their spectra.  The fixed point of
-the resulting map is found by Picard iteration in the relative sup norm, to
-a change of PICARD_TOL = 1e-8: a fraction of the time-discretisation error,
-which is 2e-8 or more on every bench scenario.
+exponential Adams-Moulton rule: the diffusion semigroup is applied exactly as
+a Fourier multiplier, and the Duhamel integral of the reaction term is
+approximated by exponential (phi1, phi2, W2) weights on the fluxes.  A dt's
+first window takes the exponential trapezoidal rule, exact for fluxes linear
+in time; from its second window on, the rule also weighs the backward
+difference of the start fluxes that the predictor below keeps, and is exact
+for fluxes quadratic in time (order 3; Hochbruck & Ostermann 2010).  The
+forward transform of the reaction term covers the rows f returns, the R
+fluxes of a model with a stoichiometry (one for the bimolecular model, not
+four species rates); the stoichiometry is folded into the weights that
+multiply their spectra.  The fixed point of the resulting map is found by
+Picard iteration in the relative sup norm, to a change of PICARD_TOL = 1e-8;
+the bench scenarios' final states then lie 1.8e-11 (run-1d) to 3.9e-8
+(run-1d-stiff) from dt/16 solves at PICARD_TOL 1e-12.
 
 A window starts from the state, spectrum, flux spectra and sup that the
 window before built in its last Picard iteration; the fluxes are evaluated
@@ -29,6 +33,7 @@ MAX_HALVINGS bounds the depth: dt never falls below cfg.dt / 2**MAX_HALVINGS.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,6 +114,21 @@ def phi_weights(z: np.ndarray):
     return E, phi1, phi2
 
 
+def w2_weight(z: np.ndarray) -> np.ndarray:
+    """W2(z) = phi3 - phi2/2 = -1/2 int_0^1 s (1 - s) e^(-z s) ds, elementwise in
+    z >= 0, the order-3 window's weight of the flux's second backward difference:
+    -(z + (1 + z/2)(e^-z - 1))/z^3, which cancels as z falls (2e-7 off at 1e-4),
+    so below z = 0.5 its Taylor series -1/2 sum_k (k + 1)(-z)^k/(k + 3)! to 14 terms."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = -(z + (1.0 + z / 2.0) * np.expm1(-z)) / z**3
+    small = z < 0.5
+    zs, acc = z[small], 0.0
+    for k in range(13, -1, -1):
+        acc = (k + 1) / math.factorial(k + 3) - zs * acc
+    w[small] = -0.5 * acc
+    return w
+
+
 class _Stepper:
     """Precomputed multipliers for one (grid, model, alpha) combination, per dt."""
 
@@ -121,21 +141,25 @@ class _Stepper:
         self._cache = {}
 
     def weights(self, dt: float):
-        """(E, dt (phi1 - phi2) S, dt phi2 S): the semigroup and the two flux
-        weights, each flux weight (m, R, ...) with the stoichiometry S folded in,
-        or (m, ...) for a rate-form model."""
+        """(E, order2, order3): the semigroup, the flux weights (dt (phi1 - phi2) S,
+        dt phi2 S) of (g_n, g_n+1), and those of (g_n, g_n - g_n-1, g_n+1) that add
+        dt W2 (g_n+1 - 2 g_n + g_n-1).  Each flux weight is (m, R, ...) with the
+        stoichiometry S folded in, or (m, ...) for a rate-form model."""
         try:
             return self._cache[dt]
         except KeyError:
             pass
         d = np.reshape(self.model.d, (-1,) + (1,) * self.grid.dims)
-        E, phi1, phi2 = phi_weights(d * dt * self.lam)  # each (m, ...)
-        flux = [dt * (phi1 - phi2), dt * phi2]
+        z = d * dt * self.lam
+        E, phi1, phi2 = phi_weights(z)  # each (m, ...)
+        w12, w2, hw2 = dt * (phi1 - phi2), dt * phi2, dt * w2_weight(z)
+        flux = [w12, w2, w12 - hw2, -hw2, w2 + hw2]
         s = self.model.stoichiometry
         if s is not None:
             s = s.reshape(s.shape + (1,) * self.grid.dims)
             flux = [x[:, None] * s for x in flux]
-        w = tuple(x.astype(complex) for x in [E] + flux)
+        E, *flux = (x.astype(complex) for x in [E] + flux)
+        w = E, tuple(flux[:2]), tuple(flux[2:])
         if len(self._cache) < 64:
             self._cache[dt] = w
         return w
@@ -150,24 +174,30 @@ class _Stepper:
         """The species spectra of flux spectra ghat under a flux weight of weights()."""
         return weight * ghat if self.model.stoichiometry is None else column_sum(weight, ghat)
 
-    def step(self, start, t: float, dt: float, ghat_end):
+    def step(self, start, t: float, dt: float, ghat_end, dghat_n=None):
         """One Duhamel window from start = (u, uhat, ghat_n, sup |u|), iterated from
-        ghat_end, the predicted flux spectra at its end.  Returns (iterations,
+        ghat_end, the predicted flux spectra at its end; its rule is order 3 given
+        dghat_n = ghat_n - ghat_n-1 at this dt, else order 2.  Returns (iterations,
         residual, next start, extremes): the next start is the last Picard
         iteration's w, the spectrum it passed to irfft, its flux spectra (taken
         within PICARD_TOL of w) and sup |w|; extremes is w's per-species
         (max, min)."""
         uhat, ghat_n, scale = start[1], start[2], max(start[3], 1e-300)
-        E, w12, w2 = self.weights(dt)
+        E, order2, order3 = self.weights(dt)
         base = E * uhat
-        base += self._species(w12, ghat_n)
-        what = self._species(w2, ghat_end)
+        if dghat_n is None:
+            w_n, w_end = order2
+        else:
+            w_n, w_d, w_end = order3
+            base += self._species(w_d, dghat_n)
+        base += self._species(w_n, ghat_n)
+        what = self._species(w_end, ghat_end)
         what += base
         w = irfft(what, self.grid)
         prev_res = np.inf
         for it in range(1, PICARD_MAX + 1):
             ghat_w = self._flux_hat(w, t + dt)
-            what = self._species(w2, ghat_w)
+            what = self._species(w_end, ghat_w)
             what += base
             w_new = irfft(what, self.grid)
             flat = w_new.reshape(len(w_new), -1)
@@ -197,12 +227,7 @@ def _predict_flux(diffs, errors):
     of the start fluxes, at the order q whose last prediction error is the
     smallest of errors (those of orders 1, 2, ...); order 1 without errors."""
     q = errors.index(min(errors)) + 1 if errors else 1
-    if q == 1:
-        return diffs[0]
-    ghat = diffs[0] + diffs[1]
-    for d in diffs[2:q]:
-        ghat += d
-    return ghat
+    return sum(diffs[1:q], diffs[0])  # diffs[0] itself at order 1
 
 
 def _backward_differences(ghat, diffs):
@@ -245,11 +270,11 @@ def solve_mild(model: ReactionModel, u0, cfg: SolverConfig) -> Trajectory:
         rest = cfg.horizon - t
         if rest < dt_step - eps:  # a short last window
             dt_step = rest
-        if dt_step != dt_prev:  # the predictor restarts at order 1
+        if dt_step != dt_prev:  # the predictor restarts at order 1, the corrector at order 2
             diffs, errors = [start[2]], []
         try:
             iters, res, next_start, extremes = stepper.step(
-                start, t, dt_step, _predict_flux(diffs, errors))
+                start, t, dt_step, _predict_flux(diffs, errors), diffs[1] if diffs[1:] else None)
         except PicardDivergence:
             if depth >= MAX_HALVINGS:
                 raise

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -214,6 +214,23 @@ def _heat_matrix(line: Grid, t: float) -> np.ndarray:
     return row[np.subtract.outer(np.arange(n), np.arange(n)) % n] / row.sum()
 
 
+@lru_cache(maxsize=4)
+def _heat_nodes(points: int, extent: float):
+    """(eps, T, nodes) of frac_power_quadrature on lines of points and extent, built
+    once per line grid: 24 Gauss-Legendre nodes (log t, weight, e^{t Delta}, read-only)."""
+    from numpy.polynomial.legendre import leggauss  # not at import: it slows every CLI start
+
+    line = make_grid(1, extent, points)
+    eps, T = line.spacing * line.spacing / 4.0, 50.0 * (extent / (2.0 * math.pi)) ** 2
+    x, weights = leggauss(24)
+    half = 0.5 * math.log(T / eps)
+    log_t = math.log(eps) + half * (x + 1.0)
+    heat = [_heat_matrix(line, math.exp(s)) for s in log_t]
+    for e in heat:
+        e.setflags(write=False)
+    return eps, T, tuple(zip(log_t, half * weights, heat))
+
+
 def frac_power_quadrature(u: Field, p: FracPower) -> Field:
     """Real-space singular-integral oracle for (-Delta)^beta, beta in (0,1).
 
@@ -225,8 +242,6 @@ def frac_power_quadrature(u: Field, p: FracPower) -> Field:
     -Lap_h u eps^(1-beta) / (1-beta), Lap_h the fourth-order five-point
     Laplacian per axis, and [T, inf) is (u - mean u) T^(-beta) / beta.
     """
-    from numpy.polynomial.legendre import leggauss  # not at import: it slows every CLI start
-
     beta = p.beta
     in_range(beta, "beta", "(0, 1)", BetaOutOfRange)
     g = u.grid
@@ -237,13 +252,10 @@ def frac_power_quadrature(u: Field, p: FracPower) -> Field:
 
     h = g.spacing
     vals = u.values
-    line = make_grid(1, g.extent, g.points_per_axis)
-    eps, T = h * h / 4.0, 50.0 * (g.extent / (2.0 * math.pi)) ** 2
-    nodes, weights = leggauss(24)
-    half = 0.5 * math.log(T / eps)
+    eps, T, nodes = _heat_nodes(g.points_per_axis, g.extent)
     out = np.zeros(g.shape)
-    for s, w in zip(math.log(eps) + half * (nodes + 1.0), half * weights):
-        heat, e = vals, _heat_matrix(line, math.exp(s))
+    for s, w, e in nodes:
+        heat = vals
         for ax in range(g.dims):
             heat = np.moveaxis(np.tensordot(e, heat, axes=(1, ax)), 0, ax)
         out += w * math.exp(-beta * s) * (vals - heat)

@@ -252,6 +252,14 @@ def test_gn_guards():
         gn_ratio(Field(g, np.zeros(g.shape)), 0.5, 3.0)
 
 
+@pytest.mark.parametrize("c", [0.2, 1e-300])
+def test_gn_ratio_undefined_on_a_constant(c):
+    # a nonzero constant has (-Dl)^(a/2) v == 0 exactly: no ratio, and no ZeroDivisionError
+    g = make_grid(1, 10.0, 64)
+    with pytest.raises(ZeroField):
+        gn_ratio(Field(g, np.full(g.shape, c)), 0.5, 4.0)
+
+
 def test_maxreg_single_mode_oracle():
     # u' + mu k^{2a} u = e^{-t}: u(t) = (e^{-t} - e^{-lam t})/(lam - 1)
     mu, alpha, k = 1.0, 0.5, 3

@@ -21,8 +21,10 @@ from fracrd.mild_solver import (
     _Stepper,
     detect_blowup,
     load_checkpoint,
+    phi_weights,
     save_checkpoint,
     solve_mild,
+    w2_weight,
 )
 from fracrd.rds_model import (
     ReactionModel,
@@ -50,6 +52,7 @@ README_DATA = [
 ]
 README_D = (1.0, 0.7, 1.3, 0.9)
 SELFCONV_ERR_002 = 2.9084598780417093e-06  # dt = 0.02 error of the exponential-Euler-predicted solver
+SELFCONV_ERR3_002 = 2.201529815460963e-08  # the same error with the order-3 corrector
 STIFF_ERR_002 = 6.66097515744605e-06  # dt = 0.02 stiff-scenario error of the solver at PICARD_TOL 1e-10
 
 
@@ -78,6 +81,37 @@ def test_ode_reduction_bimolecular():
     assert np.max(np.abs(final[0] - u1_exact)) < 1e-6
     assert np.max(np.abs(final[1] - (1.0 - u1_exact))) < 1e-6
     assert np.allclose(final[0], final[2]) and np.allclose(final[1], final[3])
+
+
+def test_ode_reduction_error_at_the_picard_tolerance_footprint():
+    # criterion 7's reduction: with the order-3 corrector its time error (4.5e-8
+    # at order 2) falls below what the Picard stopping rule leaves (9.4e-13)
+    g = make_grid(1, 10.0, 8)
+    u0 = [Field(g, np.full(g.shape, c)) for c in (1.0, 0.0, 1.0, 0.0)]
+    cfg = SolverConfig(dt=1e-3, horizon=1.0, alpha=0.5, store_every=1000)
+    u1 = float(solve_mild(bimolecular(), u0, cfg).states[-1][0][0])
+    assert abs(u1 - 0.5 * (1.0 + math.exp(-2.0))) <= 1e-11
+
+
+@pytest.mark.parametrize("z", [0.0, 1e-12, 1e-8, 1e-4, 1e-2, 0.1, np.nextafter(0.5, 0.0), 0.5,
+                               np.nextafter(0.5, 1.0), 1.0, 10.0, 50.0])
+def test_w2_weight_matches_quadrature(z):
+    # W2(z) = -1/2 int_0^1 s (1 - s) e^(-z s) ds, on both sides of the series switch at 0.5
+    nodes, weights = np.polynomial.legendre.leggauss(60)
+    s = 0.5 * (nodes + 1.0)
+    exact = -0.25 * np.sum(weights * s * (1.0 - s) * np.exp(-z * s))
+    w = w2_weight(np.array([z]))[0]
+    assert abs(w - exact) <= 1e-13 * abs(exact)
+
+
+def test_order3_window_weights_are_adams_moulton_on_the_mean_mode():
+    # z = 0: w_n g_n + w_d (g_n - g_n-1) + w_end g_n+1 weighs (g_n+1, g_n, g_n-1)
+    # by AM3's dt (5, 8, -1)/12
+    g = make_grid(1, 10.0, 8)
+    stepper = _Stepper(g, ReactionModel("one", 1, (1.0,), lambda u, t: u), 0.5, False)
+    _, _, (w_n, w_d, w_end) = stepper.weights(0.1)
+    mean = [w_end[0, 0], w_n[0, 0] + w_d[0, 0], -w_d[0, 0]]
+    assert mean == pytest.approx([0.1 * 5 / 12, 0.1 * 8 / 12, -0.1 / 12], rel=1e-15)
 
 
 def test_mass_conservation_and_positivity():
@@ -294,8 +328,8 @@ def test_dt_refinement_improves_terminal_state():
 
 
 def test_self_convergence_on_readme_scenario():
-    # the coupled nonlinear solve the run workloads make: second order in dt,
-    # and no larger an error constant than the solver this value was taken from
+    # the coupled nonlinear solve the run workloads make: third order in dt,
+    # and no larger an error constant than the solvers these values were taken from
     g = make_grid(1, 40.0, 64)
     model = bimolecular().with_diffusivities(README_D)
     u0 = [make_profile(g, spec, None) for spec in README_DATA]
@@ -307,8 +341,9 @@ def test_self_convergence_on_readme_scenario():
     ref = final(0.02 / 16)
     e002, e001 = (float(np.max(np.abs(final(dt) - ref)) / np.max(np.abs(ref)))
                   for dt in (0.02, 0.01))
-    assert 1.9 <= math.log2(e002 / e001) <= 2.1
+    assert 2.8 <= math.log2(e002 / e001) <= 3.2
     assert e002 <= 1.1 * SELFCONV_ERR_002
+    assert e002 <= 1.1 * SELFCONV_ERR3_002
 
 
 def test_stiff_scenario_error_against_tight_reference(monkeypatch):
@@ -383,29 +418,58 @@ def test_predictor_restarts_at_order_one_after_each_dt_change(monkeypatch):
     model = bimolecular().with_diffusivities(README_D)
     u0 = [make_profile(g, dict(spec, amplitude=50.0 * spec["amplitude"]), None)
           for spec in README_DATA]
-    tries = []  # (dt, started from the start flux, accepted) per window try
+    tries = []  # (dt, started from the start flux, order-2 corrector, accepted) per window try
     step = _Stepper.step
 
-    def recorded(self, start, t, dt, ghat_end):
+    def recorded(self, start, t, dt, ghat_end, dghat_n=None):
         try:
-            out = step(self, start, t, dt, ghat_end)
+            out = step(self, start, t, dt, ghat_end, dghat_n)
         except PicardDivergence:
-            tries.append((dt, ghat_end is start[2], False))
+            tries.append((dt, ghat_end is start[2], dghat_n is None, False))
             raise
-        tries.append((dt, ghat_end is start[2], True))
+        tries.append((dt, ghat_end is start[2], dghat_n is None, True))
         return out
 
     monkeypatch.setattr(_Stepper, "step", recorded)
     solve_mild(model, u0, SolverConfig(dt=0.02, horizon=1.0, alpha=0.5))
     dt_prev, changes = None, []
-    for dt, order_one, accepted in tries:
+    for dt, order_one, order_two, accepted in tries:
         if dt != dt_prev:
             changes.append(dt)
             assert order_one
+        assert order_two == (dt != dt_prev)  # order 3 from the second window at a dt
         if accepted:
             dt_prev = dt
     assert changes[:3] == [0.02, 0.01, 0.02]  # a rejection, then a regrowth
-    assert sum(not order_one for _, order_one, _ in tries) > len(tries) / 2
+    assert sum(not order_one for _, order_one, _, _ in tries) > len(tries) / 2
+
+
+def test_window_weights_built_once_per_dt(monkeypatch):
+    # the stiff scenario rejects a window and regrows dt: every dt it steps with
+    # builds its weights once, not once per window
+    g = make_grid(1, 40.0, 64)
+    model = bimolecular().with_diffusivities(README_D)
+    u0 = [make_profile(g, dict(spec, amplitude=50.0 * spec["amplitude"]), None)
+          for spec in README_DATA]
+    dts, builds = [], {"phi": 0, "w2": 0}
+    weights = _Stepper.weights
+
+    def counted(name, fn):
+        def wrapper(z):
+            builds[name] += 1
+            return fn(z)
+        return wrapper
+
+    def recorded(self, dt):
+        dts.append(dt)
+        return weights(self, dt)
+
+    monkeypatch.setattr(mild_solver, "phi_weights", counted("phi", phi_weights))
+    monkeypatch.setattr(mild_solver, "w2_weight", counted("w2", w2_weight))
+    monkeypatch.setattr(_Stepper, "weights", recorded)
+    traj = solve_mild(model, u0, SolverConfig(dt=0.02, horizon=1.0, alpha=0.5))
+    assert {0.02, 0.01} <= set(dts) and len(dts) > len(traj.step_times) - 1
+    assert builds == {"phi": len(set(dts)), "w2": len(set(dts))}
 
 
 def test_rate_evaluated_once_per_iteration_plus_initial_data():

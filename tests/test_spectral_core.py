@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fracrd import spectral_core
 from fracrd.errors import (
     BetaOutOfRange,
     GridTooLarge,
@@ -186,6 +187,30 @@ def test_quadrature_nd_matches_spectral(dims, points, beta):
     assert np.linalg.norm(quad - spec) / np.linalg.norm(spec) <= 0.1
     flat = frac_power_quadrature(Field(g, np.full(g.shape, 2.0)), FracPower(beta)).values
     assert np.max(np.abs(flat)) <= 1e-12
+
+
+def test_quadrature_builds_its_heat_matrices_once_per_grid(monkeypatch):
+    # criterion 1 calls the oracle 60 times on one grid: the 24 matrices are built
+    # on the first call only, kept read-only, and give the same bits again
+    g = make_grid(2, 2 * np.pi, 16)
+    built = []
+    heat_matrix = spectral_core._heat_matrix
+
+    def counted(line, t):
+        built.append(t)
+        return heat_matrix(line, t)
+
+    monkeypatch.setattr(spectral_core, "_heat_matrix", counted)
+    spectral_core._heat_nodes.cache_clear()
+    x = g.coord_arrays()
+    u = Field(g, np.cos(x[0]) + 0.5 * np.sin(2 * x[-1]))
+    first = frac_power_quadrature(u, FracPower(0.3)).values
+    assert len(built) == 24
+    again = frac_power_quadrature(u, FracPower(0.3)).values
+    frac_power_quadrature(u, FracPower(0.7))
+    assert len(built) == 24 and again.tobytes() == first.tobytes()
+    *_, nodes = spectral_core._heat_nodes(16, 2 * np.pi)
+    assert not any(e.flags.writeable for _, _, e in nodes)
 
 
 def _quadrature_error(dims, points, beta):
