@@ -30,6 +30,7 @@ from .errors import (
     OutputUnwritable,
     RhoInadmissible,
     UnknownAxis,
+    ZeroField,
     as_int,
     as_real,
     in_range,
@@ -83,7 +84,7 @@ def validate_config(cfg: dict) -> SimpleNamespace:
 
     The initial data and each enabled report go through the checks their own
     code applies; only rules no other code holds (schema version, seed,
-    section shapes, profile count, norm exponents) are here.  Nothing
+    section shapes, profile count) are here.  Nothing
     grid-sized is allocated, so every config error is reported before any
     compute.
     """
@@ -116,10 +117,10 @@ def validate_config(cfg: dict) -> SimpleNamespace:
     if not isinstance(rep, dict):
         msgs.append("reports: must be an object")
         rep = {}
-    norm_p = [check("reports", _exponent, p, "norm_p")
+    norm_p = [check("reports", el.norm_exponent, p, "norm_p")
               for p in check("reports.norm_p", list, rep.get("norm_p", [2.0])) or []]
     if rep.get("weak_p") is not None:  # finite: the raw value keys the strong norm
-        check("reports", _exponent, rep["weak_p"], "weak_p", True)
+        check("reports", el.norm_exponent, rep["weak_p"], "weak_p", True)
     for gamma in check("reports.holder_gamma", list, rep.get("holder_gamma", [])) or []:
         check("reports.holder_gamma", el.check_holder_gamma, gamma)
     sv = gn = ladder = None  # a section present and not null is on; {} takes every default
@@ -135,11 +136,6 @@ def validate_config(cfg: dict) -> SimpleNamespace:
     return SimpleNamespace(seed=cfg.get("seed", 0), grid=grid, model=model, solver=scfg,
                            initial_data=init, reports=rep, norm_p=norm_p, sv=sv, gn=gn,
                            ladder=ladder)
-
-
-def _exponent(p, name, finite=False) -> float:
-    """p read as a norm exponent: a number >= 1, or "inf" unless finite."""
-    return in_range(p, name, "[1, inf)" if finite else "[1, inf]")
 
 
 def _grid(cfg: dict):
@@ -235,7 +231,7 @@ def make_profile(grid, spec: dict, rng: np.random.Generator) -> Field:
 
 
 def random_band_limited(grid, rng, modes: int = 8) -> Field:
-    """Random trigonometric polynomial (signed, for sweeps): modes terms
+    """Random trigonometric polynomial (signed): modes terms
     a cos(2 pi k.x / L + phase), k in {1..modes}^N, zero-mean while modes < n
     (the points per axis).  Built as the Fourier coefficients a e^(i phase)
     n^N / 2 at k and their conjugates at -k, both folded onto the grid, and
@@ -310,44 +306,45 @@ def _resolve_outdir(explicit, default_name):
 
 
 # ----------------------------------------------------------------------
-# Inequality checks on random fields, shared by run and verify
+# Inequality checks, shared by run (on its species) and verify (on random fields)
 # ----------------------------------------------------------------------
 
 def _sv_spec(sv: dict):
-    """(fields, ells, alphas) of reports.sv; raises unless every gap is defined, fields >= 1."""
-    fields = as_int(sv.get("fields", 20), "fields", lo=1)
+    """(ells, alphas) of reports.sv; raises unless every gap is defined."""
     ells, alphas = sv.get("ell", [2.0, 3.0, 4.0]), sv.get("alpha", [0.3, 0.5, 0.9])
     el.check_sv([as_real(al, "alpha", finite=True) for al in alphas], ells)
-    return fields, ells, alphas
+    return ells, alphas
 
 
 def _gn_spec(gn: dict, dims: int):
-    """(fields, alpha, q) of reports.gn; raises unless the ratio is defined, fields >= 1."""
-    fields = as_int(gn.get("fields", 20), "fields", lo=1)
+    """(q, alpha) of reports.gn; raises unless the ratio is defined."""
     el.check_gn(dims, gn["alpha"], gn["q"])
-    return fields, gn["alpha"], gn["q"]
+    return gn["q"], gn["alpha"]
 
 
-def _sv_rows(grid, rng, fields, ells, alphas, bad) -> list:
-    """Stroock-Varopoulos gaps on fresh random fields: one row
-    [field, ell, alpha, gap] per gap, and a violation in bad per negative gap."""
+def _sv_rows(items, where, ells, alphas, bad) -> list:
+    """Stroock-Varopoulos gaps of the (key, Field) pairs in items, rows [*key, ell,
+    alpha, gap]; a negative gap adds a violation to bad, at where.format(*key)."""
     rows = []
-    for k in range(fields):
-        gaps = el.stroock_varopoulos_gaps(random_band_limited(grid, rng), alphas, ells)
+    for key, fld in items:
+        gaps = el.stroock_varopoulos_gaps(fld, alphas, ells)
         for ell, row in zip(ells, gaps.tolist()):
             for al, gap in zip(alphas, row):
-                rows.append([k, ell, al, gap])
+                rows.append([*key, ell, al, gap])
                 if not gap >= -1e-8 * max(abs(gap), 1.0):  # a NaN gap fails too
-                    bad.append(f"SV gap {gap} at field {k}, ell={ell}, alpha={al}")
+                    bad.append(f"SV gap {gap} at {where.format(*key)}, ell={ell}, alpha={al}")
     return rows
 
 
-def _gn_rows(grid, rng, fields, alpha, q) -> list:
-    """Gagliardo-Nirenberg ratios on fresh random fields, rows [field, q, alpha, ratio]."""
+def _gn_rows(items, q, alpha) -> list:
+    """Gagliardo-Nirenberg ratios of the (key, Field) pairs in items, rows
+    [*key, q, alpha, ratio]; a constant field has no ratio and no row."""
     rows = []
-    for k in range(fields):
-        fld = random_band_limited(grid, rng)
-        rows.append([k, q, alpha, el.gn_ratio(fld, float(alpha), float(q))])
+    for key, fld in items:
+        try:
+            rows.append([*key, q, alpha, el.gn_ratio(fld, alpha, q)])
+        except ZeroField:
+            pass
     return rows
 
 
@@ -415,15 +412,20 @@ def _run(sc, outdir) -> dict:
     if rows:
         files.append(write_csv(outdir, "holder.csv", ["gamma", "space", "parabolic"], rows))
 
+    # SV and GN on each species of the final state and of the stored state of largest sup
+    peak = int(np.argmax([np.abs(s).max() for s in traj.states]))
+    species = [((i, traj.times[k]), Field(grid, traj.states[k][i]))
+               for k in sorted({peak, len(traj.states) - 1}) for i in range(model.m)]
     if sc.sv is not None:
-        rows = _sv_rows(grid, rng, *sc.sv, violations)
-        files.append(write_csv(outdir, "sv.csv", ["field", "ell", "alpha", "gap"], rows))
+        rows = _sv_rows(species, "species {}, t {}", *sc.sv, violations)
+        files.append(write_csv(outdir, "sv.csv", ["species", "t", "ell", "alpha", "gap"], rows))
 
-    if sc.gn is not None:
-        fields, alpha, q = sc.gn
-        rows = _gn_rows(grid, rng, fields, alpha, q)
-        rows.append(["max", q, alpha, max(r[-1] for r in rows)])
-        files.append(write_csv(outdir, "gn.csv", ["field", "q", "alpha", "ratio"], rows))
+    if sc.gn is not None:  # of the mean-free parts: constants have zero seminorm on the box
+        rows = _gn_rows(((key, Field(grid, f.values - f.values.mean())) for key, f in species),
+                        *sc.gn)
+        if rows:
+            rows.append(["max", "", *sc.gn, max(r[-1] for r in rows)])
+        files.append(write_csv(outdir, "gn.csv", ["species", "t", "q", "alpha", "ratio"], rows))
 
     if sc.ladder is not None:
         files.append(write_json(outdir, "ladder.json", vars(sc.ladder)))
@@ -530,8 +532,11 @@ def _suite_inequalities(seed):
     rows, bad = [], []
     rng = np.random.default_rng(seed)
     g = make_grid(1, 2.0 * np.pi, 128)
-    sv = _sv_rows(g, rng, 100, (2.0, 3.0, 4.0), (0.3, 0.5, 0.9), bad)
-    gn = _gn_rows(g, rng, 100, 0.5, 4.0)
+    def fields():  # drawn lazily: SV's 100 first, then GN's
+        return (((k,), random_band_limited(g, rng)) for k in range(100))
+
+    sv = _sv_rows(fields(), "field {}", (2.0, 3.0, 4.0), (0.3, 0.5, 0.9), bad)
+    gn = _gn_rows(fields(), 4.0, 0.5)
     rows += [["sv"] + r for r in sv] + [["gn"] + r for r in gn]
     rows.append(["gn-max", "", 4.0, 0.5, max(r[-1] for r in gn)])
     times = np.linspace(0.0, 4.0, 801)

@@ -100,14 +100,21 @@ def check_holder_gamma(gamma: float):
     in_range(gamma, None, "(0, 1)", GammaOutOfRange)
 
 
+def norm_exponent(p, name, finite=False) -> float:
+    """p read as a norm exponent: a number >= 1, or "inf" unless finite."""
+    return in_range(p, name, "[1, inf)" if finite else "[1, inf]")
+
+
 def holder_seminorm(vtraj: VDiagnostics, gamma: float, seed: int = 0):
     """Empirical parabolic Holder seminorms of v at exponent gamma.
 
     Returns (space, parabolic): the spatial part maximises
     |v(x,t)-v(y,t)| / dist(x,y)^gamma over node pairs, the parabolic part
-    |v(x,t)-v(x,s)| / |t-s|^(gamma/2) over time pairs at fixed nodes.
+    |v(x,t)-v(x,s)| / |t-s|^(gamma/2) over time pairs at fixed nodes.  Above
+    RANDOM_PAIR_COUNT node pairs, seed (an integer >= 0) draws the sample.
     """
     check_holder_gamma(gamma)
+    as_int(seed, "seed")
     if len(vtraj.times) < 2:
         raise TooFewSlices("need at least 2 time slices")
     grid = vtraj.grid
@@ -368,7 +375,11 @@ def _time_weights(times) -> np.ndarray:
 
 
 def norm_report(traj: Trajectory, p_list, weak_p=None) -> NormReport:
-    """Space-time norms, windowed sup-norms and weak norms."""
+    """Space-time norms, windowed sup-norms and weak norms; p_list and weak_p
+    are read by norm_exponent, weak_p finite."""
+    p_list = [norm_exponent(p, "p_list") for p in p_list]
+    if weak_p is not None:
+        weak_p = norm_exponent(weak_p, "weak_p", finite=True)
     if not traj.states:
         raise EmptyTrajectory("trajectory has no states")
     grid = traj.grid

@@ -129,6 +129,7 @@ def kernel_diagnostics(spec: KernelSpec, times) -> dict:
 
 def delta_probe(grid: Grid, r: float) -> Field:
     """Single-node discrete delta at x=0, normalised so its L^r norm is 1."""
+    r = in_range(r, "r", "[1, inf]")
     vals = np.zeros(grid.shape)
     height = 1.0 if math.isinf(r) else grid.cell_volume ** (-1.0 / r)
     vals[(0,) * grid.dims] = height
@@ -137,11 +138,13 @@ def delta_probe(grid: Grid, r: float) -> Field:
 
 def usable_fit_times(spec: KernelSpec, times) -> list:
     """Restrict to times where the kernel width (mu t)^(1/2a) lies between
-    4 grid spacings and L/8 (avoids under-resolution and wrap-around)."""
+    4 grid spacings and L/8 (avoids under-resolution and wrap-around); each
+    time must lie in (0, inf)."""
     g = spec.grid
     lo, hi = 4.0 * g.spacing, g.extent / 8.0
     out = []
     for t in times:
+        t = in_range(t, "times", "(0, inf)", NonPositiveTime)
         width = (spec.mu * t) ** (1.0 / (2.0 * spec.alpha))
         if lo <= width <= hi:
             out.append(t)

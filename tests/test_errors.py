@@ -25,21 +25,26 @@ from fracrd.errors import (
     in_range,
 )
 from fracrd.estimate_lab import (
+    VDiagnostics,
     check_gn,
     check_holder_gamma,
     check_sv,
     duality_ladder,
+    holder_seminorm,
     maximal_reg_ratio,
+    norm_exponent,
+    norm_report,
     q_hat,
 )
 from fracrd.heat_kernel import (
     KernelSpec,
+    delta_probe,
     heat_kernel_field,
     kernel_diagnostics,
     semigroup_apply,
     smoothing_rate_fit,
 )
-from fracrd.mild_solver import SolverConfig
+from fracrd.mild_solver import SolverConfig, Trajectory
 from fracrd.rds_model import bimolecular
 from fracrd.spectral_core import Field, FracPower, frac_power_quadrature, lp_norm, make_grid
 
@@ -116,6 +121,9 @@ SPEC = KernelSpec(0.5, 1.0, G)
 ONES = Field(G, np.ones(G.shape))
 TIMES = np.linspace(0.0, 1.0, 3)
 FORCING = np.ones((3,) + G.shape)
+TRAJ = Trajectory(G, [0.0], [np.ones((1,) + G.shape)])
+G32 = make_grid(2, 40.0, 32)  # more node pairs than holder_seminorm takes without sampling
+VD32 = VDiagnostics(G32, [0.0, 1.0], [np.zeros(G32.shape)] * 2, True, 1.0, 1.0)
 
 # Every range rule of the public constructors and checks: (id, call of the
 # value, the class it raises, the name it carries, the values it rejects).
@@ -169,14 +177,50 @@ RANGE_SITES = [
      InvalidParameter, "alpha", [0.0, 1.5]),
     ("maximal_reg_ratio.mu", lambda x: maximal_reg_ratio(FORCING, TIMES, 0.5, x, G),
      InvalidParameter, "mu", [INF, 0.0]),
-    ("norm_p", lambda x: cli_runner._exponent(x, "norm_p"), InvalidParameter, "norm_p", [0.5]),
-    ("weak_p", lambda x: cli_runner._exponent(x, "weak_p", True),
+    ("norm_p", lambda x: norm_exponent(x, "norm_p"), InvalidParameter, "norm_p", [0.5]),
+    ("weak_p", lambda x: norm_exponent(x, "weak_p", True),
      InvalidParameter, "weak_p", [INF, 0.5]),
+    ("norm_report.p_list", lambda x: norm_report(TRAJ, [2.0, x]),
+     InvalidParameter, "p_list", [0.0, 0.5, -1.0, -INF]),
+    ("norm_report.weak_p", lambda x: norm_report(TRAJ, [2.0], weak_p=x),
+     InvalidParameter, "weak_p", [INF, 0, 0.5, -1]),
+    ("smoothing_rate_fit.times", lambda x: smoothing_rate_fit(SPEC, 1.0, 2.0, [1.0, x]),
+     NonPositiveTime, "times", [INF, 0.0, -1.0]),
+    ("delta_probe.r", lambda x: delta_probe(G, x), InvalidParameter, "r", [0, 0.5, -INF]),
 ] + [
     (f"profile.{key}", lambda x, key=key: cli_runner._check_profile({"profile": "constant", key: x}, 1),
      InvalidParameter, key, [INF, -1.0] + [0.0] * (key == "width"))
     for key in ("amplitude", "width", "floor")
 ]
+
+
+# Integer arguments outside the config, read by as_int: (id, call, name, bad values).
+INT_SITES = [
+    ("holder_seminorm.seed", lambda x: holder_seminorm(VD32, 0.5, seed=x), "seed",
+     [-1, 1.5, "0", NAN, True]),
+]
+
+
+@pytest.mark.parametrize("call,name,bad", [row[1:] for row in INT_SITES],
+                         ids=[row[0] for row in INT_SITES])
+def test_every_integer_argument_is_read_by_as_int(call, name, bad):
+    for x in bad:
+        with pytest.raises(InvalidParameter) as exc:
+            call(x)
+        assert exc.value.name == name and "must be an integer" in exc.value.requirement, x
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda x: norm_report(TRAJ, [x]), "p_list"),
+    (lambda x: norm_report(TRAJ, [2.0], weak_p=x), "weak_p"),
+    (lambda x: smoothing_rate_fit(SPEC, 1.0, 2.0, [1.0, x]), "times"),
+    (lambda x: delta_probe(G, x), "r"),
+], ids=["norm_report.p_list", "norm_report.weak_p", "smoothing_rate_fit.times", "delta_probe.r"])
+def test_non_numbers_are_named(call, name):
+    for x in ("x", "2", [1.0]):  # weak_p None turns the weak norm off
+        with pytest.raises(InvalidParameter, match="must be a number") as exc:
+            call(x)
+        assert exc.value.name == name
 
 
 @pytest.mark.parametrize("call,cls,name,bad", [row[1:] for row in RANGE_SITES],
