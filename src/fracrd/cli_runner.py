@@ -324,14 +324,17 @@ def _gn_spec(gn: dict, dims: int):
 
 def _sv_rows(items, where, ells, alphas, bad) -> list:
     """Stroock-Varopoulos gaps of the (key, Field) pairs in items, rows [*key, ell,
-    alpha, gap]; a negative gap adds a violation to bad, at where.format(*key)."""
+    alpha, gap]; a gap below -1e-8 max|v|^ell |Omega| adds a violation to bad, at
+    where.format(*key): the gap is homogeneous of degree ell in v, its round-off too."""
     rows = []
     for key, fld in items:
         gaps = el.stroock_varopoulos_gaps(fld, alphas, ells)
+        sup, vol = np.abs(fld.values).max(), fld.grid.extent ** fld.grid.dims
         for ell, row in zip(ells, gaps.tolist()):
+            floor = -1e-8 * sup ** float(ell) * vol
             for al, gap in zip(alphas, row):
                 rows.append([*key, ell, al, gap])
-                if not gap >= -1e-8 * max(abs(gap), 1.0):  # a NaN gap fails too
+                if not gap >= floor:  # a NaN gap fails too
                     bad.append(f"SV gap {gap} at {where.format(*key)}, ell={ell}, alpha={al}")
     return rows
 
@@ -412,10 +415,11 @@ def _run(sc, outdir) -> dict:
     if rows:
         files.append(write_csv(outdir, "holder.csv", ["gamma", "space", "parabolic"], rows))
 
-    # SV and GN on each species of the final state and of the stored state of largest sup
-    peak = int(np.argmax([np.abs(s).max() for s in traj.states]))
-    species = [((i, traj.times[k]), Field(grid, traj.states[k][i]))
-               for k in sorted({peak, len(traj.states) - 1}) for i in range(model.m)]
+    if sc.sv is not None or sc.gn is not None:
+        # each species of the final state and of the stored state of largest sup
+        peak = int(np.argmax([np.abs(s).max() for s in traj.states]))
+        species = [((i, traj.times[k]), Field(grid, traj.states[k][i]))
+                   for k in sorted({peak, len(traj.states) - 1}) for i in range(model.m)]
     if sc.sv is not None:
         rows = _sv_rows(species, "species {}, t {}", *sc.sv, violations)
         files.append(write_csv(outdir, "sv.csv", ["species", "t", "ell", "alpha", "gap"], rows))
@@ -423,8 +427,8 @@ def _run(sc, outdir) -> dict:
     if sc.gn is not None:  # of the mean-free parts: constants have zero seminorm on the box
         rows = _gn_rows(((key, Field(grid, f.values - f.values.mean())) for key, f in species),
                         *sc.gn)
-        if rows:
-            rows.append(["max", "", *sc.gn, max(r[-1] for r in rows)])
+        if rows:  # the largest ratio, at its t
+            rows.append(["max", *max(rows, key=lambda r: r[-1])[1:]])
         files.append(write_csv(outdir, "gn.csv", ["species", "t", "q", "alpha", "ratio"], rows))
 
     if sc.ladder is not None:

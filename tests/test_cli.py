@@ -481,7 +481,7 @@ def test_run_scenario_manifest(tmp_path):
 
 
 # cells of the run reports that are labels, not numbers
-REPORT_LABELS = {"", "inf", "max", "True", "False", "dims", "points_per_axis", "extent", "time",
+REPORT_LABELS = {"inf", "max", "True", "False", "dims", "points_per_axis", "extent", "time",
                  "species", "u0", "u1", "u2", "u3"}
 
 
@@ -628,6 +628,35 @@ def test_nan_sv_gap_fails_the_run(tmp_path, monkeypatch):
                                  for i, t in keys]
 
 
+@pytest.mark.parametrize("amplitude", [1.0, 1e4, 1e6])
+def test_sv_check_does_not_depend_on_the_solution_size(tmp_path, amplitude):
+    # the gaps scale like amplitude^ell, their round-off too; f = -u keeps the data's shape
+    decay = {"name": "decay", "species": 1, "diffusivities": [1.0], "terms": [[[-1.0, [1]]]]}
+    cfg = _tiny([(("model",), decay), (("diffusivities",), [1.0]),
+                 (("initial_data",), [{"profile": "gaussian-bump", "amplitude": amplitude,
+                                       "width": 2.0, "floor": 0.05 * amplitude}]),
+                 (("reports", "sv"), {})])
+    man = run_scenario(cfg, outdir=str(tmp_path))
+    assert man["passed"], man["violations"]
+    assert len(_report_rows(tmp_path / "sv.csv")) == 2 * 3 * 3
+
+
+def test_blowup_state_has_no_round_off_sv_violation(tmp_path):
+    # f = u^2 on a bump blows up at its top; the stored blow-up state reaches a sup
+    # near 3e7, where the ell = 2 gaps (zero by Parseval) are round-off alone
+    quad = {"name": "quad", "species": 1, "diffusivities": [1.0], "terms": [[[1.0, [2]]]]}
+    cfg = _tiny([(("model",), quad), (("diffusivities",), [1.0]),
+                 (("initial_data",), [{"profile": "gaussian-bump", "amplitude": 10.0,
+                                       "width": 2.0, "floor": 10.0}]),
+                 (("solver",), {"dt": 1e-3, "horizon": 0.5, "store_every": 1000}),
+                 (("reports", "sv"), {"ell": [2], "alpha": [0.3, 0.5, 0.9]})])
+    man = run_scenario(cfg, outdir=str(tmp_path))
+    assert man["blowup_time"] is not None
+    gaps = [float(r[-1]) for r in _report_rows(tmp_path / "sv.csv")]
+    assert max(map(abs, gaps)) > 1e-8  # the old absolute bound would have failed the run
+    assert not [v for v in man["violations"] if v.startswith("SV")]
+
+
 def test_inequality_rows_cover_every_species_of_the_final_and_peak_states(tmp_path, monkeypatch):
     trajs = []
     real_solve = cli_runner.solve_mild
@@ -655,7 +684,7 @@ def test_inequality_rows_cover_every_species_of_the_final_and_peak_states(tmp_pa
             want.append([str(i), repr(traj.times[k]), "4.0", "0.5",
                          repr(el.gn_ratio(Field(g, u - u.mean()), 0.5, 4.0))])
     assert gn == want and len(gn) == len(picks) - 1
-    assert top == ["max", "", "4.0", "0.5", max(gn, key=lambda r: float(r[-1]))[-1]]
+    assert top == ["max", *max(gn, key=lambda r: float(r[-1]))[1:]]
 
 
 def test_constant_data_run_has_no_gn_rows(tmp_path):
