@@ -43,6 +43,8 @@ SCHEMA_VERSION = 1
 OUTPUT_ROOT_ENV = "FRACRD_OUTPUT_ROOT"
 
 PROFILES = ("gaussian-bump", "two-bumps", "constant", "random-band-limited")
+# the SV (ell, alpha) grid: reports.sv's defaults, and verify inequalities' grid
+SV_ELL, SV_ALPHA = (2.0, 3.0, 4.0), (0.3, 0.5, 0.9)
 
 
 # ----------------------------------------------------------------------
@@ -61,6 +63,13 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _shaped(x, kind, name=None):
+    """x when it is a kind, dict or list (a tuple passes as a list); raises InvalidParameter."""
+    if not isinstance(x, (list, tuple) if kind is list else kind):
+        raise InvalidParameter(f"must be {'a list' if kind is list else 'an object'}, got {x!r}", name)
+    return x
+
+
 def _at(path, build, *args):
     """build(*args), with an input error it raises turned into ConfigInvalid whose
     message starts with the config path of the offending value ("" is the top level)."""
@@ -77,9 +86,10 @@ def _at(path, build, *args):
 
 def validate_config(cfg: dict) -> SimpleNamespace:
     """The scenario cfg describes: seed, grid, model, solver (a SolverConfig),
-    initial_data (the profile specs), reports (the raw section), norm_p (its
-    norm exponents as floats, [2.0] by default) and the sv, gn and ladder
-    report specs (None when disabled).  Raises ConfigInvalid with one message
+    initial_data (the profile specs), the report settings norm_p (norm
+    exponents as floats, [2.0] by default), weak_p (a float or None) and
+    holder_gamma (floats), and the sv, gn and ladder report specs (None when
+    disabled).  Raises ConfigInvalid with one message
     per offending field, each starting with its config path.
 
     The initial data and each enabled report go through the checks their own
@@ -104,25 +114,21 @@ def validate_config(cfg: dict) -> SimpleNamespace:
     model = check("model", build_model, cfg)
     scfg = check("solver", _solver_config, cfg)
 
-    init = cfg.get("initial_data", [])
-    if not isinstance(init, list):
-        msgs.append("initial_data: must be a list of profiles")
-    elif model is not None and len(init) != model.m:
+    init = check("initial_data", _shaped, cfg.get("initial_data", []), list)
+    if init is not None and model is not None and len(init) != model.m:
         msgs.append(f"initial_data: expected {model.m} profiles, got {len(init)}")
     else:
-        for k, spec in enumerate(init):
+        for k, spec in enumerate(init or []):
             check(f"initial_data[{k}]", _check_profile, spec, grid.dims if grid else None)
 
-    rep = cfg.get("reports", {})
-    if not isinstance(rep, dict):
-        msgs.append("reports: must be an object")
-        rep = {}
+    rep = check("reports", _shaped, cfg.get("reports", {}), dict) or {}
     norm_p = [check("reports", el.norm_exponent, p, "norm_p")
-              for p in check("reports.norm_p", list, rep.get("norm_p", [2.0])) or []]
-    if rep.get("weak_p") is not None:  # finite: the raw value keys the strong norm
-        check("reports", el.norm_exponent, rep["weak_p"], "weak_p", True)
-    for gamma in check("reports.holder_gamma", list, rep.get("holder_gamma", [])) or []:
-        check("reports.holder_gamma", el.check_holder_gamma, gamma)
+              for p in check("reports.norm_p", _shaped, rep.get("norm_p", [2.0]), list) or []]
+    weak_p = rep.get("weak_p")
+    if weak_p is not None:  # finite, as its strong norm is a row of the norm report
+        weak_p = check("reports", el.norm_exponent, weak_p, "weak_p", True)
+    gammas = check("reports.holder_gamma", _shaped, rep.get("holder_gamma", []), list) or []
+    holder_gamma = [check("reports.holder_gamma", el.check_holder_gamma, g) for g in gammas]
     sv = gn = ladder = None  # a section present and not null is on; {} takes every default
     if rep.get("sv") is not None:
         sv = check("reports.sv", _sv_spec, rep["sv"])
@@ -134,24 +140,20 @@ def validate_config(cfg: dict) -> SimpleNamespace:
     if msgs:
         raise ConfigInvalid(msgs)
     return SimpleNamespace(seed=cfg.get("seed", 0), grid=grid, model=model, solver=scfg,
-                           initial_data=init, reports=rep, norm_p=norm_p, sv=sv, gn=gn,
-                           ladder=ladder)
+                           initial_data=init, norm_p=norm_p, weak_p=weak_p,
+                           holder_gamma=holder_gamma, sv=sv, gn=gn, ladder=ladder)
 
 
 def _grid(cfg: dict):
-    g = cfg["grid"]
+    g = _shaped(cfg["grid"], dict)
     return make_grid(g["dims"], as_real(g["extent"], "extent"), g["points"])
 
 
 def _solver_config(cfg: dict) -> SolverConfig:
-    sol = cfg["solver"]
-    return SolverConfig(
-        dt=as_real(sol["dt"], "dt"),
-        horizon=as_real(sol["horizon"], "horizon"),
-        alpha=as_real(sol.get("alpha", 0.5), "alpha"),
-        dealias=sol.get("dealias", True),
-        store_every=sol.get("store_every", 1),
-    )
+    """The SolverConfig of cfg's solver section; SolverConfig holds the defaults."""
+    sol = _shaped(cfg["solver"], dict)
+    given = {key: sol[key] for key in ("alpha", "dealias", "store_every") if key in sol}
+    return SolverConfig(as_real(sol["dt"], "dt"), as_real(sol["horizon"], "horizon"), **given)
 
 
 def _inline_model(spec: dict):
@@ -292,8 +294,8 @@ def _sha256(path) -> str:
 
 
 def _resolve_outdir(explicit, default_name):
-    root = explicit or os.environ.get(OUTPUT_ROOT_ENV) or os.getcwd()
-    path = os.path.join(root, default_name) if explicit is None else explicit
+    path = explicit if explicit is not None else os.path.join(
+        os.environ.get(OUTPUT_ROOT_ENV) or os.getcwd(), default_name)
     try:
         os.makedirs(path, exist_ok=True)
         probe = os.path.join(path, ".write-probe")
@@ -311,13 +313,16 @@ def _resolve_outdir(explicit, default_name):
 
 def _sv_spec(sv: dict):
     """(ells, alphas) of reports.sv; raises unless every gap is defined."""
-    ells, alphas = sv.get("ell", [2.0, 3.0, 4.0]), sv.get("alpha", [0.3, 0.5, 0.9])
+    sv = _shaped(sv, dict)
+    ells = _shaped(sv.get("ell", SV_ELL), list, "ell")
+    alphas = _shaped(sv.get("alpha", SV_ALPHA), list, "alpha")
     el.check_sv([as_real(al, "alpha", finite=True) for al in alphas], ells)
     return ells, alphas
 
 
 def _gn_spec(gn: dict, dims: int):
     """(q, alpha) of reports.gn; raises unless the ratio is defined."""
+    gn = _shaped(gn, dict)
     el.check_gn(dims, gn["alpha"], gn["q"])
     return gn["q"], gn["alpha"]
 
@@ -352,6 +357,7 @@ def _gn_rows(items, q, alpha) -> list:
 
 
 def _ladder(lad: dict, dims: int, alpha: float):
+    lad = _shaped(lad, dict)
     try:
         in_range(alpha, "alpha", "(0, 1)")
     except InvalidParameter as e:
@@ -371,7 +377,7 @@ def run_scenario(cfg: dict, outdir=None) -> dict:
 def _run(sc, outdir) -> dict:
     """Run the validate_config scenario sc; write its reports and manifest to outdir."""
     outdir = _resolve_outdir(outdir, "fracrd-run")
-    grid, model, rep = sc.grid, sc.model, sc.reports
+    grid, model = sc.grid, sc.model
     rng = np.random.default_rng(sc.seed)
     u0 = [make_profile(grid, spec, rng) for spec in sc.initial_data]
     traj = solve_mild(model, u0, sc.solver)
@@ -380,10 +386,10 @@ def _run(sc, outdir) -> dict:
     files = ["final_state.csv"]
     violations = []
 
-    norm_p, weak_p = sc.norm_p, rep.get("weak_p")
+    norm_p, weak_p = sc.norm_p, sc.weak_p
     # the weak-versus-strong check needs the strong L^weak_p(Q) norm even
     # when norms.csv does not list weak_p
-    strong_p = norm_p if weak_p is None else list(dict.fromkeys(norm_p + [float(weak_p)]))
+    strong_p = norm_p if weak_p is None else list(dict.fromkeys(norm_p + [weak_p]))
     report = el.norm_report(traj, strong_p, weak_p=weak_p)
     rows = []
     for (i, p), val in sorted(report.spacetime.items()):
@@ -393,7 +399,7 @@ def _run(sc, outdir) -> dict:
     if weak_p is not None:
         for i, wn in enumerate(report.weak_norms):
             if wn > report.spacetime[(i, weak_p)] * (1.0 + 1e-12):
-                violations.append(f"weak-L{weak_p} above strong for species {i}")
+                violations.append(f"weak-L{weak_p:g} above strong for species {i}")
 
     files.append(write_csv(outdir, "windowed_sup.csv", ["window", "sup"],
                            list(enumerate(report.windowed_sup))))
@@ -409,8 +415,8 @@ def _run(sc, outdir) -> dict:
                              vd.b_bounds_ok]]))
 
     rows = []
-    for gamma in rep.get("holder_gamma", []):
-        sp, pa = el.holder_seminorm(vd, float(gamma), seed=sc.seed)
+    for gamma in sc.holder_gamma:
+        sp, pa = el.holder_seminorm(vd, gamma, seed=sc.seed)
         rows.append([gamma, sp, pa])
     if rows:
         files.append(write_csv(outdir, "holder.csv", ["gamma", "space", "parabolic"], rows))
@@ -473,9 +479,7 @@ def sweep(cfg: dict, axis: str, values, outdir=None) -> list:
         node = sub
         path = _AXES[axis]
         for depth, key in enumerate(path[:-1], 1):
-            node = node.setdefault(key, {})
-            if not isinstance(node, dict):
-                raise ConfigInvalid([f"{'.'.join(path[:depth])}: must be an object, got {node!r}"])
+            node = _at(".".join(path[:depth]), _shaped, node.setdefault(key, {}), dict)
         # a non-integral point count passes through for make_grid to reject
         node[path[-1]] = int(v) if axis == "points" and float(v).is_integer() else float(v)
         try:
@@ -539,7 +543,7 @@ def _suite_inequalities(seed):
     def fields():  # drawn lazily: SV's 100 first, then GN's
         return (((k,), random_band_limited(g, rng)) for k in range(100))
 
-    sv = _sv_rows(fields(), "field {}", (2.0, 3.0, 4.0), (0.3, 0.5, 0.9), bad)
+    sv = _sv_rows(fields(), "field {}", SV_ELL, SV_ALPHA, bad)
     gn = _gn_rows(fields(), 4.0, 0.5)
     rows += [["sv"] + r for r in sv] + [["gn"] + r for r in gn]
     rows.append(["gn-max", "", 4.0, 0.5, max(r[-1] for r in gn)])
@@ -571,9 +575,7 @@ def _suite_ladder(seed):
     for k in range(200):
         dims = int(rng.integers(1, 4))
         alpha = float(rng.uniform(0.1, 0.99))
-        rho = float(rng.uniform(
-            1.0, min(1.0 + 4.0 * alpha / (dims + 2.0 * alpha), 2.0)
-        ))
+        rho = float(rng.uniform(1.0, el.rho_admissible_max(dims, alpha)))
         p0 = float(rng.uniform(2.0 + 1e-6, 4.0))
         lad = el.duality_ladder(dims, alpha, rho, p0)
         seq = lad.sequence

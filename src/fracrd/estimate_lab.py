@@ -95,9 +95,10 @@ RANDOM_PAIR_COUNT = 100_000  # node pairs sampled when there are more than this 
 MAX_HOLDER_SLICES = 16
 
 
-def check_holder_gamma(gamma: float):
-    """Raise unless gamma is a number in (0, 1); unnamed, as reports.holder_gamma names it."""
-    in_range(gamma, None, "(0, 1)", GammaOutOfRange)
+def check_holder_gamma(gamma: float) -> float:
+    """gamma as a float; raises unless it is a number in (0, 1), unnamed, as
+    reports.holder_gamma names it."""
+    return in_range(gamma, None, "(0, 1)", GammaOutOfRange)
 
 
 def norm_exponent(p, name, finite=False) -> float:
@@ -464,7 +465,7 @@ def q_hat(dims: int, alpha: float, p: float) -> float:
 
 def duality_ladder(dims: int, alpha: float, rho: float, p0: float, eps_star: float = 0.0) -> ExponentLadder:
     """Iterate p_{n+1} = (N+2a) p_n / (rho (N+2a) - 2a p_n) until the
-    sequence clears the threshold (N+2a)/(2a rho)."""
+    sequence clears the threshold (N+2a)/(2a rho), for at most LADDER_MAX_STEPS steps."""
     alpha = in_range(alpha, "alpha", "(0, 1)")
     eps_star = in_range(eps_star, "eps_star", "[0, inf)")
     rmax = rho_admissible_max(dims, alpha, eps_star)
@@ -474,22 +475,10 @@ def duality_ladder(dims: int, alpha: float, rho: float, p0: float, eps_star: flo
     total = dims + 2.0 * alpha
     threshold = total / (2.0 * alpha * rho)
     seq = [p0]
-    term = None
-    diverged = False
-    if seq[0] >= threshold:
-        term = 0
-    else:
-        for n in range(LADDER_MAX_STEPS):
-            denom = rho * total - 2.0 * alpha * seq[-1]
-            if denom <= 0.0:
-                term = len(seq) - 1  # already past the usable range
-                break
-            seq.append(total * seq[-1] / denom)
-            if seq[-1] >= threshold:
-                term = len(seq) - 1
-                break
-        else:
-            diverged = True
+    # below the threshold 2a p < (N+2a)/rho <= rho (N+2a), as rho >= 1: the denominator is positive
+    while seq[-1] < threshold and len(seq) <= LADDER_MAX_STEPS:
+        seq.append(total * seq[-1] / (rho * total - 2.0 * alpha * seq[-1]))
+    term = len(seq) - 1 if seq[-1] >= threshold else None
 
     return ExponentLadder(
         dims=dims,
@@ -501,5 +490,5 @@ def duality_ladder(dims: int, alpha: float, rho: float, p0: float, eps_star: flo
         threshold=threshold,
         sequence=seq,
         termination_index=term,
-        diverged=diverged,
+        diverged=term is None,
     )

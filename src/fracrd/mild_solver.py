@@ -329,8 +329,7 @@ def save_checkpoint(path, grid: Grid, time: float, state: np.ndarray):
 def load_checkpoint(path):
     with open(path, newline="") as fh:
         dims, n, extent, time, m = (line.split(",")[1] for _, line in zip(range(5), fh))
-        next(fh)  # column header
-        data = np.array([list(map(float, line.split(","))) for line in fh])
+    data = np.loadtxt(path, delimiter=",", skiprows=6, ndmin=2)  # below the column header
     grid = make_grid(int(dims), float(extent), int(n))
     state = data.T.reshape((int(m),) + grid.shape)
     return grid, float(time), state

@@ -169,13 +169,37 @@ SECTIONS = {
     "reports.ladder=list": ("reports.ladder", [(("reports", "ladder"), [1.0, 2.0])]),
     "solver.alpha=1,ladder": ("solver.alpha", [(("solver", "alpha"), 1.0)]),
 }
+# sections and lists of the wrong JSON type, which used to fail with Python's
+# own error text or read a string as a list of characters, keyed by test id,
+# each with its one message
+SHAPES = {
+    "grid=5": ("grid", [(("grid",), 5)], "grid: must be an object, got 5"),
+    "solver=5": ("solver", [(("solver",), 5)], "solver: must be an object, got 5"),
+    "reports=[1]": ("reports", [(("reports",), [1])], "reports: must be an object, got [1]"),
+    "reports.sv=[1]": ("reports.sv", [(("reports", "sv"), [1])],
+                       "reports.sv: must be an object, got [1]"),
+    "reports.gn=3": ("reports.gn", [(("reports", "gn"), 3)], "reports.gn: must be an object, got 3"),
+    "reports.ladder='on'": ("reports.ladder", [(("reports", "ladder"), "on")],
+                            "reports.ladder: must be an object, got 'on'"),
+    "initial_data='bump'": ("initial_data", [(("initial_data",), "bump")],
+                            "initial_data: must be a list, got 'bump'"),
+    "reports.norm_p='inf'": ("reports.norm_p", [(("reports", "norm_p"), "inf")],
+                             "reports.norm_p: must be a list, got 'inf'"),
+    "reports.holder_gamma='0.5'": ("reports.holder_gamma", [(("reports", "holder_gamma"), "0.5")],
+                                   "reports.holder_gamma: must be a list, got '0.5'"),
+    "reports.sv.ell=3": ("reports.sv.ell", [(("reports", "sv", "ell"), 3)],
+                         "reports.sv.ell: must be a list, got 3"),
+    "reports.sv.alpha=0.5": ("reports.sv.alpha", [(("reports", "sv", "alpha"), 0.5)],
+                             "reports.sv.alpha: must be a list, got 0.5"),
+}
 # falsy diffusivities, which used to keep the model's own, keyed by test id
 FALSY = {f"diffusivities={v!r}": ("diffusivities", [(("diffusivities",), v)])
          for v in ([], 0, False)}
 DEFECT_IDS = ([d[0] for d in DEFECTS] + list(TRUE_AS_ONE) + list(STRING_AS_NUMBER)
-              + list(MISREAD) + list(EMPTY_OR_INF) + list(SECTIONS) + list(FALSY))
+              + list(MISREAD) + list(EMPTY_OR_INF) + list(SECTIONS) + list(SHAPES) + list(FALSY))
 DEFECTS += [*TRUE_AS_ONE.values(), *STRING_AS_NUMBER.values(), *MISREAD.values(),
-            *EMPTY_OR_INF.values(), *SECTIONS.values(), *FALSY.values()]
+            *EMPTY_OR_INF.values(), *SECTIONS.values(),
+            *((path, mutations) for path, mutations, _ in SHAPES.values()), *FALSY.values()]
 
 # Every field validate_config owns, each with valid and invalid values.
 FIELDS = {
@@ -259,6 +283,19 @@ def test_config_defects_fail_before_solve(tmp_path, monkeypatch, capsys, path, m
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "cli")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mutations,message", [v[1:] for v in SHAPES.values()], ids=list(SHAPES))
+def test_malformed_shapes_name_the_rule(mutations, message):
+    with pytest.raises(ConfigInvalid) as exc:
+        validate_config(_tiny(mutations))
+    assert exc.value.messages == [message]
+
+
+def test_initial_data_count_is_named():
+    with pytest.raises(ConfigInvalid) as exc:
+        validate_config(_tiny([(("initial_data",), DEMO["initial_data"][:3])]))
+    assert exc.value.messages == ["initial_data: expected 4 profiles, got 3"]
 
 
 def test_ladder_alpha_conflict_names_both_sections():
@@ -603,6 +640,56 @@ def test_main_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
     assert main(["verify", "ladder", "--out", str(tmp_path / "v")]) == 0
+
+
+def test_usage_error_exits_1(capsys):
+    assert main(["run"]) == 1  # argparse itself would exit 2, the violations code
+    assert capsys.readouterr().err.startswith("usage: fracrd run")
+
+
+def test_run_seed_option_replaces_the_config_seed(tmp_path):
+    cfg_path = tmp_path / "demo.json"
+    cfg_path.write_text(json.dumps(_tiny()))  # seed 0
+    assert main(["run", str(cfg_path), "--seed", "7", "--out", str(tmp_path / "r")]) == 0
+    with open(tmp_path / "r" / "manifest.json") as fh:
+        assert json.load(fh)["seed"] == 7
+
+
+def test_sweep_through_main(tmp_path):
+    cfg_path = tmp_path / "demo.json"
+    cfg_path.write_text(json.dumps(_tiny()))
+    out = tmp_path / "sw"
+    assert main(["sweep", str(cfg_path), "--axis", "dt", "--values", "0.05,0.1",
+                 "--out", str(out)]) == 0
+    assert _report_rows(out / "sweep.csv") == [["0.05", "True", "0", ""], ["0.1", "True", "0", ""]]
+
+
+def test_load_config_rejects_a_json_array(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ConfigInvalid) as exc:
+        load_config(path)
+    assert exc.value.messages == [f"{path}: must hold a JSON object"]
+
+
+def test_ladder_that_cannot_terminate_fails_the_run(tmp_path, capsys):
+    # at rho = rho_max(3, 0.1) = 1.125 the ladder's fixed point is p0 = 2: it stands still
+    assert el.rho_admissible_max(3, 0.1) == 1.125
+    cfg = _tiny([(("grid", "dims"), 3), (("grid", "points"), 8), (("solver", "alpha"), 0.1),
+                 (("initial_data",), [{"profile": "constant", "amplitude": c}
+                                      for c in (1.0, 0.5, 1.0, 0.5)]),
+                 (("reports", "gn", "q"), 2.5), (("reports", "ladder"), {"rho": 1.125, "p0": 2})])
+    cfg_path = tmp_path / "still.json"
+    cfg_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == "violations recorded\n"
+    with open(tmp_path / "run" / "manifest.json") as fh:
+        assert json.load(fh)["violations"] == ["exponent ladder failed to terminate"]
+    with open(tmp_path / "run" / "ladder.json") as fh:
+        lad = json.load(fh)
+    assert lad["diverged"] and lad["termination_index"] is None
+    assert lad["sequence"] == [2.0] * (el.LADDER_MAX_STEPS + 1)
 
 
 def test_verify_seed_is_read_before_any_output(tmp_path):

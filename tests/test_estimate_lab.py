@@ -19,6 +19,7 @@ from fracrd.errors import (
     ZeroField,
 )
 from fracrd.estimate_lab import (
+    LADDER_MAX_STEPS,
     WEAK_NORM_LEVELS,
     VDiagnostics,
     _forced_history,
@@ -525,6 +526,15 @@ def test_ladder_monotone_sweep():
         p0 = float(rng.uniform(2.0 + 1e-9, 4.0))
         lad = duality_ladder(dims, alpha, rho, p0)
         assert all(b > a for a, b in zip(lad.sequence, lad.sequence[1:]))
+
+
+def test_ladder_below_its_fixed_point_falls_and_never_terminates():
+    # at rho = rho_max the map's repelling fixed point is p = 2 + eps_star = 2.5
+    lad = duality_ladder(2, 0.3, rho_admissible_max(2, 0.3, 0.5), 2.2, 0.5)
+    assert lad.diverged and lad.termination_index is None
+    assert len(lad.sequence) == LADDER_MAX_STEPS + 1
+    assert all(b < a for a, b in zip(lad.sequence, lad.sequence[1:]))
+    assert 0.0 < lad.sequence[-1] < 1e-18
 
 
 def test_q_hat_cases():
