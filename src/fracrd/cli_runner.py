@@ -86,11 +86,10 @@ def _at(path, build, *args):
 
 def validate_config(cfg: dict) -> SimpleNamespace:
     """The scenario cfg describes: seed, grid, model, solver (a SolverConfig),
-    initial_data (the profile specs), the report settings norm_p (norm
-    exponents as floats, [2.0] by default), weak_p (a float or None) and
-    holder_gamma (floats), and the sv, gn and ladder report specs (None when
-    disabled).  Raises ConfigInvalid with one message
-    per offending field, each starting with its config path.
+    initial_data (the profile specs), norm_p (norm exponents as floats, [2.0]
+    by default), weak_p (a float or None), holder_gamma (floats) and the sv,
+    gn and ladder report specs (None when disabled).  Raises ConfigInvalid
+    with one message per offending field, each starting with its config path.
 
     The initial data and each enabled report go through the checks their own
     code applies; only rules no other code holds (schema version, seed,

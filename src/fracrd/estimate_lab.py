@@ -96,8 +96,7 @@ MAX_HOLDER_SLICES = 16
 
 
 def check_holder_gamma(gamma: float) -> float:
-    """gamma as a float; raises unless it is a number in (0, 1), unnamed, as
-    reports.holder_gamma names it."""
+    """gamma as a float if it lies in (0, 1); unnamed, as reports.holder_gamma names it."""
     return in_range(gamma, None, "(0, 1)", GammaOutOfRange)
 
 
