@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from fracrd import cli_runner
 from fracrd import estimate_lab as el
+from fracrd import heat_kernel as hk
 from fracrd.cli_runner import (
     load_config,
     main,
@@ -713,6 +715,93 @@ def test_nan_sv_gap_fails_the_run(tmp_path, monkeypatch):
                   key=lambda k: (k[1], k[0]))
     assert man["violations"] == [f"SV gap nan at species {i}, t {t}, ell=2, alpha=0.5"
                                  for i, t in keys]
+
+
+def _ladder_fake(real, args, **changes):
+    """duality_ladder with changes applied to the ladder of args alone."""
+    return lambda *a: dataclasses.replace(real(*a), **changes) if a == args else real(*a)
+
+
+def _appended_last(real):  # p_n repeated at the end: no sequence is increasing
+    def ladder(*a):
+        lad = real(*a)
+        return dataclasses.replace(lad, sequence=lad.sequence + lad.sequence[-1:])
+    return ladder
+
+
+def _shifted_final_state(real):  # u + 1 in the last stored state
+    def solve(*a):
+        traj = real(*a)
+        traj.states[-1] = traj.states[-1] + 1.0
+        return traj
+    return solve
+
+
+def _doubled_final_mass(real):
+    def solve(*a):
+        traj = real(*a)
+        traj.step_diagnostics.total_mass[-1] *= 2.0
+        return traj
+    return solve
+
+
+# one planted fault per check line of verify and run: (suite, or "run" for the
+# tiny demo run; the module and function the check reads; a factory that wraps
+# the real function; the exact violations). Doubling every kernel is exact, so
+# of the kernel checks only the peaks move.
+PLANTED = {
+    "kernel-peak": ("kernel", hk, "heat_kernel_field",
+                    lambda real: lambda spec, t: Field(spec.grid, 2.0 * real(spec, t).values),
+                    ["kernel peak alpha=0.5 off by 1", "kernel peak alpha=1.0 off by 1"]),
+    "self-similarity": ("kernel", hk, "kernel_diagnostics",
+                        lambda real: lambda *a: dict(real(*a), self_similarity_residual=1e-9),
+                        ["self-similarity residual above 1e-10"]),
+    "smoothing-slope": ("kernel", hk, "smoothing_rate_fit",
+                        lambda real: lambda *a, **k: dataclasses.replace(real(*a, **k),
+                                                                         relative_error=0.5),
+                        ["smoothing slope off by 0.5"] * 3),
+    "maxreg": ("inequalities", el, "maximal_reg_ratio",
+               lambda real: lambda f, *a: np.full(np.shape(f)[1], 3.0),
+               [f"maximal regularity ratio 3.0 > 1.05/{mu}" for mu in (0.5, 1.0, 2.0)
+                for _ in range(50)]),
+    "ladder-worked-1": ("ladder", el, "duality_ladder",
+                        lambda real: _ladder_fake(real, (2, 0.75, 1.0, 2.0), termination_index=2),
+                        ["ladder (N=2, a=0.75, rho=1, p0=2) mismatch"]),
+    "ladder-worked-2": ("ladder", el, "duality_ladder",
+                        lambda real: _ladder_fake(real, (3, 0.5, 1.2, 2.1), termination_index=3),
+                        ["ladder (N=3, a=0.5, rho=1.2, p0=2.1) mismatch"]),
+    "ladder-non-monotone": ("ladder", el, "duality_ladder", _appended_last,
+                            [f"non-monotone ladder at sweep {k}" for k in range(200)]),
+    "ladder-rho-reject": ("ladder", el, "duality_ladder",
+                          lambda real: lambda *a: real(*a[:2], 1.0, *a[3:]) if a[2] == 2.5
+                          else real(*a),
+                          ["rho=2.5 not rejected"]),
+    "ode-reduction": ("bimolecular", cli_runner, "solve_mild", _shifted_final_state,
+                      ["ODE reduction error 1"]),
+    "mass-drift": ("bimolecular", cli_runner, "solve_mild", _doubled_final_mass,
+                   ["mass drift at t=1.0"]),
+    "b-coefficient": ("bimolecular", el, "accumulate_v",
+                      lambda real: lambda *a: dataclasses.replace(real(*a), b_bounds_ok=False),
+                      ["b-coefficient outside bounds"]),
+    # DEMO's diffusivities run from 0.7 to 1.3
+    "run-b-bounds": ("run", el, "accumulate_v",
+                     lambda real: lambda *a: dataclasses.replace(
+                         real(*a), b_min=0.25, b_max=4.0, b_bounds_ok=False),
+                     ["b outside [0.7692307692307692, 1.4285714285714286]: [0.25, 4.0]"]),
+}
+
+
+@pytest.mark.parametrize("case", list(PLANTED))
+def test_every_check_fires_on_a_planted_fault(tmp_path, monkeypatch, case):
+    suite, module, name, fake, expected = PLANTED[case]
+    monkeypatch.setattr(module, name, fake(getattr(module, name)))
+    if suite == "run":
+        man = run_scenario(_tiny(), outdir=str(tmp_path))
+    else:
+        man = run_verify([suite], outdir=str(tmp_path))
+        expected = [f"{suite}: {v}" for v in expected]
+    assert not man["passed"]
+    assert man["violations"] == expected
 
 
 @pytest.mark.parametrize("amplitude", [1.0, 1e4, 1e6])
