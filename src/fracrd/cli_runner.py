@@ -360,7 +360,7 @@ def _ladder(lad: dict, dims: int, alpha: float):
     try:
         in_range(alpha, "alpha", "(0, 1)")
     except InvalidParameter as e:
-        raise ConfigInvalid(f"solver.alpha: {e.requirement}, as reports.ladder requires") from None
+        raise ConfigInvalid([f"solver.alpha: {e.requirement}, as reports.ladder requires"]) from None
     return el.duality_ladder(dims, alpha, lad.get("rho", 1.0), lad.get("p0", 2.0),
                              lad.get("eps_star", 0.0))
 
@@ -404,14 +404,11 @@ def _run(sc, outdir) -> dict:
                            list(enumerate(report.windowed_sup))))
 
     vd = el.accumulate_v(traj, model.d)
+    lo, hi = 1.0 / max(model.d), 1.0 / min(model.d)
     if not vd.b_bounds_ok:
-        violations.append(
-            f"b outside [{1.0 / max(model.d)}, {1.0 / min(model.d)}]: "
-            f"[{vd.b_min}, {vd.b_max}]"
-        )
+        violations.append(f"b outside [{lo}, {hi}]: [{vd.b_min}, {vd.b_max}]")
     files.append(write_csv(outdir, "b_bounds.csv", ["b_min", "b_max", "lower", "upper", "ok"],
-                           [[vd.b_min, vd.b_max, 1.0 / max(model.d), 1.0 / min(model.d),
-                             vd.b_bounds_ok]]))
+                           [[vd.b_min, vd.b_max, lo, hi, vd.b_bounds_ok]]))
 
     rows = []
     for gamma in sc.holder_gamma:
@@ -479,9 +476,10 @@ def sweep(cfg: dict, axis: str, values, outdir=None) -> list:
         path = _AXES[axis]
         for depth, key in enumerate(path[:-1], 1):
             node = _at(".".join(path[:depth]), _shaped, node.setdefault(key, {}), dict)
-        # a non-integral point count passes through for make_grid to reject
-        node[path[-1]] = int(v) if axis == "points" and float(v).is_integer() else float(v)
         try:
+            x = _at(".".join(path), as_real, v)
+            # a non-integral point count passes through for make_grid to reject
+            node[path[-1]] = int(x) if axis == "points" and x.is_integer() else x
             scenarios.append(validate_config(sub))
         except ConfigInvalid as e:
             msgs.extend(f"{axis}={v}: {m}" for m in e.messages)

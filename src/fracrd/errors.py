@@ -164,8 +164,6 @@ class P0TooSmall(InvalidParameter):
 # --- CLI / orchestration ----------------------------------------------
 class ConfigInvalid(FracRDError):
     def __init__(self, messages):
-        if isinstance(messages, str):
-            messages = [messages]
         self.messages = list(messages)
         super().__init__("; ".join(self.messages))
 

@@ -30,7 +30,6 @@ from .errors import (
     as_int,
     in_range,
 )
-from .heat_kernel import KernelSpec
 from .mild_solver import Trajectory, phi_weights
 from .spectral_core import Field, FracPower, frac_power, irfft, lp_norm, rfft
 
@@ -288,7 +287,8 @@ def maximal_reg_ratio(f_traj, times, alpha: float, mu: float, grid) -> float | n
     2**+-MAXREG_EXP_RANGE is first scaled by a power of two, which leaves its
     ratio unchanged.  Returns 0 by convention for identically zero forcing.
     """
-    KernelSpec(alpha, mu, grid)  # checks the (alpha, mu) ranges
+    in_range(alpha, "alpha", "(0, 1]")
+    in_range(mu, "mu", "(0, inf)")
     dt = _time_step(times)
 
     f = np.asarray(f_traj, dtype=float)
@@ -365,9 +365,8 @@ class NormReport:
 
 
 def _time_weights(times) -> np.ndarray:
+    """Trapezoid weights of the time grid; a single time spans none and weighs 0."""
     t = np.asarray(times, dtype=float)
-    if len(t) == 1:
-        return np.array([1.0])
     w = np.zeros(len(t))
     w[:-1] += 0.5 * np.diff(t)
     w[1:] += 0.5 * np.diff(t)

@@ -145,10 +145,8 @@ class _Stepper:
         dt phi2 S) of (g_n, g_n+1), and those of (g_n, g_n - g_n-1, g_n+1) that add
         dt W2 (g_n+1 - 2 g_n + g_n-1).  Each flux weight is (m, R, ...) with the
         stoichiometry S folded in, or (m, ...) for a rate-form model."""
-        try:
+        if dt in self._cache:
             return self._cache[dt]
-        except KeyError:
-            pass
         d = np.reshape(self.model.d, (-1,) + (1,) * self.grid.dims)
         z = d * dt * self.lam
         E, phi1, phi2 = phi_weights(z)  # each (m, ...)
@@ -159,9 +157,7 @@ class _Stepper:
             s = s.reshape(s.shape + (1,) * self.grid.dims)
             flux = [x[:, None] * s for x in flux]
         E, *flux = (x.astype(complex) for x in [E] + flux)
-        w = E, tuple(flux[:2]), tuple(flux[2:])
-        if len(self._cache) < 64:
-            self._cache[dt] = w
+        w = self._cache[dt] = E, tuple(flux[:2]), tuple(flux[2:])
         return w
 
     def _flux_hat(self, u: np.ndarray, t: float) -> np.ndarray:

@@ -133,25 +133,18 @@ def column_sum(s: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return out
 
 
-def species_rates(model: ReactionModel, terms: np.ndarray) -> np.ndarray:
-    """The (m, ...) species rates from reaction_terms' output: stoichiometry @
-    terms over the leading axis; the terms themselves when the model has no
-    stoichiometry."""
-    s = model.stoichiometry
-    if s is None:
-        return terms
-    return column_sum(s.reshape(s.shape + (1,) * (terms.ndim - 1)), terms)
-
-
 def eval_reactions(model: ReactionModel, state, t: float = 0.0):
-    """Evaluate the species rates nodewise on a stacked (m, ...) state array."""
+    """The species rates on a stacked (m, ...) state: stoichiometry @ reaction_terms
+    over the leading axis, or the terms themselves without a stoichiometry."""
     u = np.asarray(state, dtype=float)
     scale = max(float(np.max(np.abs(u))), 1.0)
     if np.min(u) < -STATE_TOL * scale:
         raise NegativeStateBeyondTolerance(
             f"state component {np.min(u):.3g} below -{STATE_TOL * scale:.3g}"
         )
-    rates = species_rates(model, reaction_terms(model, u, t))
+    rates, s = reaction_terms(model, u, t), model.stoichiometry
+    if s is not None:
+        rates = column_sum(s.reshape(s.shape + (1,) * (u.ndim - 1)), rates)
     if not np.all(np.isfinite(rates)):
         raise NonFiniteRate("reaction map produced NaN/Inf")
     return rates
@@ -161,6 +154,8 @@ def check_assumption(model, which: Assumption, count: int = 200) -> AssumptionRe
     """Hunt for violations of one structural assumption at count nonnegative
     states (magnitudes 0 to 1e3, about a fifth of entries zero), all drawn at
     once; the witnesses are (state list, value) pairs in sample order."""
+    if not isinstance(which, Assumption):
+        raise InvalidParameter(f"unknown assumption {which}")
     count = as_int(count, "count", lo=1)
     if which in (Assumption.QUADRATIC, Assumption.POL) and model.growth_c is None:
         raise MissingMeta(f"{which.value} check requires a declared constant C")
@@ -169,8 +164,6 @@ def check_assumption(model, which: Assumption, count: int = 200) -> AssumptionRe
             raise MissingMeta("ISC check requires isc_matrix and rho metadata")
     if which == Assumption.POL and model.nu is None:
         raise MissingMeta("Pol check requires the exponent nu")
-    if not isinstance(which, Assumption):
-        raise InvalidParameter(f"unknown assumption {which}")
 
     m = model.m
     # drawn as (count, 2m + 1) so each sample's draws stay consecutive in the stream

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fracrd.errors import FracRDError
+from fracrd.errors import FracRDError, InvalidParameter
 from fracrd.rds_model import (
     Assumption,
     ReactionModel,
@@ -148,3 +148,11 @@ def test_count_must_be_an_integer():
     for count in (0, True, 2.5, "3"):
         with pytest.raises(FracRDError, match="count"):
             check_assumption(bimolecular(), Assumption.M, count=count)
+
+
+def test_unknown_assumption_is_read_before_count_and_metadata():
+    # a string is not an Assumption, though "M" is one's value; count=0 would fail later
+    bare = ReactionModel("bare", 1, (1.0,), lambda u, t: -u)
+    for which in ("M", "ISC", None):
+        with pytest.raises(InvalidParameter, match="unknown assumption"):
+            check_assumption(bare, which, count=0)

@@ -588,6 +588,13 @@ def test_sweep_guards(tmp_path, monkeypatch):
         sweep(_demo(), "points", [16.0, 16.5], outdir=str(tmp_path / "sw"))
     assert exc.value.messages == [
         "points=16.5: grid.points: must be a power of two >= 8, got 16.5"]
+    # every value is read as a number, booleans rejected, before any output exists
+    for axis, value, where in (("dt", "x", "solver.dt"), ("dt", None, "solver.dt"),
+                               ("dt", True, "solver.dt"), ("dt", [1], "solver.dt"),
+                               ("points", "x", "grid.points")):
+        with pytest.raises(ConfigInvalid) as exc:
+            sweep(_demo(), axis, [value], outdir=str(tmp_path / "sw"))
+        assert exc.value.messages == [f"{axis}={value}: {where}: must be a number, got {value!r}"]
     for section, value, axis, where in (
         ("reports", {"ladder": None}, "rho", "reports.ladder: must be an object, got None"),
         ("solver", [1], "dt", "solver: must be an object, got [1]"),

@@ -1,3 +1,4 @@
+import ast
 import math
 import tracemalloc
 import warnings
@@ -18,6 +19,7 @@ from fracrd.errors import (
     TooFewSlices,
     ZeroField,
 )
+from fracrd import estimate_lab
 from fracrd.estimate_lab import (
     LADDER_MAX_STEPS,
     WEAK_NORM_LEVELS,
@@ -119,6 +121,17 @@ def test_holder_guards():
     vd.v = vd.v[:1]
     with pytest.raises(TooFewSlices):
         holder_seminorm(vd, 0.5)
+
+
+def test_holder_skips_a_pair_of_equal_times():
+    g = make_grid(1, 10.0, 8)
+    rng = np.random.default_rng(0)
+    v = [rng.random(g.shape) for _ in range(3)]
+    vd = VDiagnostics(grid=g, times=[0.0, 0.5, 1.0], v=v, b_bounds_ok=True, b_min=1.0, b_max=1.0)
+    # the state at t = 0.5 twice: the pair of equal times spans no time and is skipped
+    twice = VDiagnostics(grid=g, times=[0.0, 0.5, 0.5, 1.0], v=[v[0], v[1], v[1], v[2]],
+                         b_bounds_ok=True, b_min=1.0, b_max=1.0)
+    assert holder_seminorm(twice, 0.5) == holder_seminorm(vd, 0.5)
 
 
 def test_holder_samples_pairs_beyond_the_pair_budget():
@@ -414,6 +427,22 @@ def test_norm_report_constant_field():
     assert rep.spacetime[(0, math.inf)] == 2.0
 
 
+def test_norm_report_needs_a_state():
+    with pytest.raises(EmptyTrajectory):
+        norm_report(Trajectory(grid=make_grid(1, 10.0, 8)), [2.0])
+
+
+def test_norm_report_of_one_state_spans_no_time():
+    # a single state has time weight 0: every finite-p norm and weak norm is 0
+    g = make_grid(1, 10.0, 8)
+    traj = _const_traj(g, (2.0, 3.0), [0.0])
+    rep = norm_report(traj, [1.0, 2.0, 7.5, math.inf], weak_p=2.0)
+    assert rep.spacetime == {(0, 1.0): 0.0, (1, 1.0): 0.0, (0, 2.0): 0.0, (1, 2.0): 0.0,
+                             (0, 7.5): 0.0, (1, 7.5): 0.0, (0, math.inf): 2.0, (1, math.inf): 3.0}
+    assert rep.weak_norms == [0.0, 0.0]
+    assert rep.windowed_sup == [3.0]
+
+
 def test_weak_norm_indicator():
     g = make_grid(1, 10.0, 64)
     traj = Trajectory(grid=g)
@@ -535,6 +564,52 @@ def test_ladder_below_its_fixed_point_falls_and_never_terminates():
     assert len(lad.sequence) == LADDER_MAX_STEPS + 1
     assert all(b < a for a, b in zip(lad.sequence, lad.sequence[1:]))
     assert 0.0 < lad.sequence[-1] < 1e-18
+
+
+def _admissible_ladders(count, seed):
+    """count ladders at random (dims, alpha, rho, p0, eps_star), rho up to its cap."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        dims, alpha = int(rng.integers(1, 4)), float(rng.uniform(0.1, 0.99))
+        eps_star = float(rng.uniform(0.0, 2.0))
+        rho = float(rng.uniform(1.0, rho_admissible_max(dims, alpha, eps_star)))
+        yield duality_ladder(dims, alpha, rho, float(rng.uniform(2.0, 6.0)), eps_star)
+
+
+def test_ladder_climbs_by_the_regularity_map():
+    # each rising step is the paper's p -> q_hat(p / rho); p >= 2 >= rho keeps p / rho >= 1
+    steps = 0
+    for lad in _admissible_ladders(2000, 0):
+        for p, q in zip(lad.sequence, lad.sequence[1:]):
+            if q > p:
+                assert q == pytest.approx(q_hat(lad.dims, lad.alpha, p / lad.rho), rel=1e-13)
+                steps += 1
+    assert steps > 500
+
+
+def test_ladder_fixed_point_at_the_cap_is_two_plus_eps_star():
+    # (rho - 1)(N + 2a)/(2a), where the map p -> q_hat(p / rho) stands still, is
+    # 2 + eps_star at rho = rho_admissible_max whenever the cap is below 2
+    rng = np.random.default_rng(0)
+    checked = 0
+    for _ in range(2000):
+        dims, alpha = int(rng.integers(1, 4)), float(rng.uniform(0.1, 0.99))
+        eps_star = float(rng.uniform(0.0, 2.0))
+        rho = rho_admissible_max(dims, alpha, eps_star)
+        if rho < 2.0:
+            fixed = (rho - 1.0) * (dims + 2.0 * alpha) / (2.0 * alpha)
+            assert fixed == pytest.approx(2.0 + eps_star, rel=1e-14, abs=0.0)
+            checked += 1
+    assert checked > 500
+
+
+def test_estimate_lab_imports_nothing_from_heat_kernel():
+    # maximal_reg_ratio checks its (alpha, mu) ranges itself, without a KernelSpec
+    with open(estimate_lab.__file__) as fh:
+        tree = ast.parse(fh.read())
+    modules = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    modules += [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+    assert modules and not [m for m in modules if m and "heat_kernel" in m]
 
 
 def test_q_hat_cases():
