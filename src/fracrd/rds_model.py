@@ -142,7 +142,8 @@ def eval_reactions(model: ReactionModel, state, t: float = 0.0):
         raise NegativeStateBeyondTolerance(
             f"state component {np.min(u):.3g} below -{STATE_TOL * scale:.3g}"
         )
-    rates, s = reaction_terms(model, u, t), model.stoichiometry
+    rates = reaction_terms(model, u, t)
+    s = model.stoichiometry
     if s is not None:
         rates = column_sum(s.reshape(s.shape + (1,) * (u.ndim - 1)), rates)
     if not np.all(np.isfinite(rates)):
