@@ -107,7 +107,7 @@ def validate_config(cfg: dict) -> SimpleNamespace:
 
     if cfg.get("schema_version") != SCHEMA_VERSION:
         msgs.append(f"schema_version: expected {SCHEMA_VERSION}")
-    check("", as_int, cfg.get("seed", 0), "seed")
+    seed = check("", as_int, cfg.get("seed", 0), "seed")
 
     grid = check("grid", _grid, cfg)
     model = check("model", build_model, cfg)
@@ -138,7 +138,7 @@ def validate_config(cfg: dict) -> SimpleNamespace:
 
     if msgs:
         raise ConfigInvalid(msgs)
-    return SimpleNamespace(seed=cfg.get("seed", 0), grid=grid, model=model, solver=scfg,
+    return SimpleNamespace(seed=seed, grid=grid, model=model, solver=scfg,
                            initial_data=init, norm_p=norm_p, weak_p=weak_p,
                            holder_gamma=holder_gamma, sv=sv, gn=gn, ladder=ladder)
 
@@ -252,19 +252,12 @@ def random_band_limited(grid, rng, modes: int = 8) -> Field:
 # Report writers
 # ----------------------------------------------------------------------
 
-def _fmt(x):
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))  # numpy 2's repr of its scalars reads np.float64(...)
-    return str(x)
-
-
 def write_csv(outdir, name, header, rows) -> str:
     """Write outdir/name, the header row then rows; return name."""
     with open(os.path.join(outdir, name), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(x) for x in row])
+        w.writerows(rows)
     return name
 
 
@@ -358,11 +351,12 @@ def _gn_rows(items, q, alpha) -> list:
 def _ladder(lad: dict, dims: int, alpha: float):
     lad = _shaped(lad, dict)
     try:
-        in_range(alpha, "alpha", "(0, 1)")
+        return el.duality_ladder(dims, alpha, lad.get("rho", 1.0), lad.get("p0", 2.0),
+                                 lad.get("eps_star", 0.0))
     except InvalidParameter as e:
+        if e.name != "alpha":
+            raise
         raise ConfigInvalid([f"solver.alpha: {e.requirement}, as reports.ladder requires"]) from None
-    return el.duality_ladder(dims, alpha, lad.get("rho", 1.0), lad.get("p0", 2.0),
-                             lad.get("eps_star", 0.0))
 
 
 # ----------------------------------------------------------------------
@@ -387,13 +381,9 @@ def _run(sc, outdir) -> dict:
 
     norm_p, weak_p = sc.norm_p, sc.weak_p
     # the weak-versus-strong check needs the strong L^weak_p(Q) norm even
-    # when norms.csv does not list weak_p
-    strong_p = norm_p if weak_p is None else list(dict.fromkeys(norm_p + [weak_p]))
-    report = el.norm_report(traj, strong_p, weak_p=weak_p)
-    rows = []
-    for (i, p), val in sorted(report.spacetime.items()):
-        if p in norm_p:
-            rows.append([i, "inf" if math.isinf(p) else p, val])
+    # when norms.csv does not list weak_p (a repeated p is one entry of the report)
+    report = el.norm_report(traj, norm_p if weak_p is None else norm_p + [weak_p], weak_p=weak_p)
+    rows = [[i, p, val] for (i, p), val in sorted(report.spacetime.items()) if p in norm_p]
     files.append(write_csv(outdir, "norms.csv", ["species", "p", "spacetime_norm"], rows))
     if weak_p is not None:
         for i, wn in enumerate(report.weak_norms):
@@ -489,8 +479,7 @@ def sweep(cfg: dict, axis: str, values, outdir=None) -> list:
     rows = []
     for v, sc in zip(values, scenarios):
         man = _run(sc, os.path.join(outdir, f"{axis}={v}"))
-        rows.append([v, man["passed"], len(man["violations"]),
-                     man["blowup_time"] if man["blowup_time"] is not None else ""])
+        rows.append([v, man["passed"], len(man["violations"]), man["blowup_time"]])
     write_csv(outdir, "sweep.csv", [axis, "passed", "violations", "blowup_time"], rows)
     return rows
 

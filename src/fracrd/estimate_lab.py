@@ -52,10 +52,14 @@ class VDiagnostics:
 
 
 def accumulate_v(traj: Trajectory, d) -> VDiagnostics:
-    """Trapezoidal time integral v of sum_i d_i u_i, plus the range of the b ratio."""
+    """Trapezoidal time integral v of sum_i d_i u_i, plus the range of the b ratio;
+    d holds one diffusivity in (0, inf) per species."""
     if not traj.states:
         raise EmptyTrajectory("trajectory has no states")
-    d = np.asarray(d, dtype=float)
+    m = len(traj.states[0])
+    if not np.iterable(d) or len(d) != m:
+        raise InvalidParameter(f"must have {m} entries, got {d!r}", "d")
+    d = np.array([in_range(di, "d", "(0, inf)") for di in d])
     times = list(traj.times)
     integrand = [np.tensordot(d, s, axes=(0, 0)) for s in traj.states]
     sums = [np.sum(s, axis=0) for s in traj.states]
@@ -342,7 +346,8 @@ def maximal_reg_ratio(f_traj, times, alpha: float, mu: float, grid) -> float | n
 
 def solve_forced_mode(times, lam: float, mu: float, fhat) -> np.ndarray:
     """Scalar-mode discrete solve used by maximal_reg_ratio, exposed for the
-    closed-form oracle comparison."""
+    closed-form oracle comparison; mu in (0, inf), as there, and lam in [0, inf)."""
+    lam, mu = in_range(lam, "lam", "[0, inf)"), in_range(mu, "mu", "(0, inf)")
     dt = _time_step(times)
     fhat = np.asarray(fhat, dtype=float)
     if fhat.shape != (len(times),):

@@ -249,7 +249,7 @@ def solve_mild(model: ReactionModel, u0, cfg: SolverConfig) -> Trajectory:
     if np.min(u) < 0:
         raise NegativeInitialData(f"negative initial value {np.min(u):.3g}")
 
-    traj = Trajectory(grid=grid, times=[0.0], states=[u.copy()])
+    traj = Trajectory(grid=grid, times=[0.0], states=[u])  # a fresh stack no window writes to
     rows = [(0.0, 0, 0.0, species_stats(grid, u))]  # (t, iterations, residual, stats) per window
     sups = rows[0][3][1]
     threshold = cfg.blowup_factor * max(sum(sups.tolist()), 1e-300)  # sum_i sup |u_i|

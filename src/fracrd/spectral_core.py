@@ -55,16 +55,12 @@ class Grid:
     def cell_volume(self) -> float:
         return self.spacing**self.dims
 
-    def axis_coords(self) -> np.ndarray:
-        """Node coordinates along one axis, wrapped so index 0 sits at x=0."""
+    def coord_arrays(self) -> list:
+        """Per-axis coordinate arrays broadcast to the full lattice shape, each
+        axis wrapped so index 0 sits at x=0."""
         n = self.points_per_axis
         j = np.arange(n)
-        j = np.where(j < n // 2, j, j - n)
-        return j * self.spacing
-
-    def coord_arrays(self) -> list:
-        """Per-axis coordinate arrays broadcast to the full lattice shape."""
-        x = self.axis_coords()
+        x = np.where(j < n // 2, j, j - n) * self.spacing
         return list(np.meshgrid(*([x] * self.dims), indexing="ij"))
 
     def wrapped_r2(self, deltas):

@@ -2,6 +2,7 @@ import copy
 import csv
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -542,6 +543,27 @@ def test_report_cells_are_numbers_or_labels(tmp_path):
         labels = REPORT_LABELS | set(header)
         bad = [cell for row in rows for cell in row if cell not in labels and not _is_number(cell)]
         assert not bad, (name, bad[:3])
+
+
+def test_numpy_float_str_is_the_shortest_float_repr():
+    # write_csv leaves every cell to csv.writer, which writes a number with str()
+    bits = np.random.default_rng(0).integers(0, 2**64, 100_000, dtype=np.uint64)
+    bits[:10_000] &= np.uint64(0x800F_FFFF_FFFF_FFFF)  # exponent 0: subnormals of both signs
+    edges = [0.0, -0.0, 5e-324, 1e-4, np.nextafter(1e-4, 0.0), 1e16, np.nextafter(1e16, 0.0),
+             np.inf, -np.inf, np.nan]
+    xs = np.concatenate([bits.view(np.float64), edges])
+    mismatched = [(str(x), repr(y)) for x, y in zip(xs, xs.tolist()) if str(x) != repr(y)]
+    assert not mismatched, mismatched[:3]
+
+
+def test_write_csv_writes_numpy_scalars_as_python_values(tmp_path):
+    row = [0.1, 7, True, None, math.inf, -0.0, [1.0, 2.5]]
+    as_numpy = [np.float64(0.1), np.int64(7), np.bool_(True), None, math.inf, -0.0, [1.0, 2.5]]
+    cli_runner.write_csv(tmp_path, "plain.csv", ["x"], [row])
+    cli_runner.write_csv(tmp_path, "numpy.csv", ["x"], [as_numpy])
+    want = b'x\r\n0.1,7,True,,inf,-0.0,"[1.0, 2.5]"\r\n'  # None is an empty cell
+    assert (tmp_path / "plain.csv").read_bytes() == want
+    assert (tmp_path / "numpy.csv").read_bytes() == want
 
 
 def test_run_determinism(tmp_path):

@@ -26,6 +26,7 @@ from fracrd.errors import (
 )
 from fracrd.estimate_lab import (
     VDiagnostics,
+    accumulate_v,
     check_gn,
     check_holder_gamma,
     check_sv,
@@ -35,6 +36,7 @@ from fracrd.estimate_lab import (
     norm_exponent,
     norm_report,
     q_hat,
+    solve_forced_mode,
 )
 from fracrd.heat_kernel import (
     KernelSpec,
@@ -187,6 +189,11 @@ RANGE_SITES = [
     ("smoothing_rate_fit.times", lambda x: smoothing_rate_fit(SPEC, 1.0, 2.0, [1.0, x]),
      NonPositiveTime, "times", [INF, 0.0, -1.0]),
     ("delta_probe.r", lambda x: delta_probe(G, x), InvalidParameter, "r", [0, 0.5, -INF]),
+    ("accumulate_v.d", lambda x: accumulate_v(TRAJ, [x]), InvalidParameter, "d", [INF, 0.0, -1.0]),
+    ("solve_forced_mode.lam", lambda x: solve_forced_mode(TIMES, x, 1.0, np.ones(3)),
+     InvalidParameter, "lam", [INF, -3.0]),
+    ("solve_forced_mode.mu", lambda x: solve_forced_mode(TIMES, 3.0, x, np.ones(3)),
+     InvalidParameter, "mu", [INF, 0.0, -1.0]),
 ] + [
     (f"profile.{key}", lambda x, key=key: cli_runner._check_profile({"profile": "constant", key: x}, 1),
      InvalidParameter, key, [INF, -1.0] + [0.0] * (key == "width"))
@@ -215,7 +222,11 @@ def test_every_integer_argument_is_read_by_as_int(call, name, bad):
     (lambda x: norm_report(TRAJ, [2.0], weak_p=x), "weak_p"),
     (lambda x: smoothing_rate_fit(SPEC, 1.0, 2.0, [1.0, x]), "times"),
     (lambda x: delta_probe(G, x), "r"),
-], ids=["norm_report.p_list", "norm_report.weak_p", "smoothing_rate_fit.times", "delta_probe.r"])
+    (lambda x: accumulate_v(TRAJ, [x]), "d"),
+    (lambda x: solve_forced_mode(TIMES, x, 1.0, np.ones(3)), "lam"),
+    (lambda x: solve_forced_mode(TIMES, 3.0, x, np.ones(3)), "mu"),
+], ids=["norm_report.p_list", "norm_report.weak_p", "smoothing_rate_fit.times", "delta_probe.r",
+        "accumulate_v.d", "solve_forced_mode.lam", "solve_forced_mode.mu"])
 def test_non_numbers_are_named(call, name):
     for x in ("x", "2", [1.0]):  # weak_p None turns the weak norm off
         with pytest.raises(InvalidParameter, match="must be a number") as exc:
@@ -232,6 +243,15 @@ def test_every_range_rule_rejects_nan_inf_and_true(call, cls, name, bad):
         # a bool fails as_real's type rule, which raises InvalidParameter itself
         assert isinstance(exc.value, InvalidParameter if x is True else cls), x
         assert exc.value.name == name, x
+
+
+def test_accumulate_v_reads_one_diffusivity_per_species():
+    traj = Trajectory(G, [0.0, 1.0], [np.ones((4,) + G.shape)] * 2)
+    for d in ([1.0], [1.0] * 5, [], 1.0, None):
+        with pytest.raises(InvalidParameter) as exc:
+            accumulate_v(traj, d)
+        assert exc.value.requirement == f"must have 4 entries, got {d!r}" and exc.value.name == "d"
+    assert accumulate_v(traj, np.ones(4)).b_bounds_ok
 
 
 def test_q_hat_dims_is_an_integer_of_at_least_one():
